@@ -16,11 +16,10 @@ import argparse
 import io
 import json
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 from . import decision, formats, models
-from .moves import ReplayError, central_swap_script, replay
-from .terms import ParseError, TermError, format_term, parse_term
+from .moves import ProofScript, ReplayError, central_swap_script, replay
+from .terms import ParseError, TermError, format_term, parse_term, swap_leaves
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_NEGATIVE", "EXIT_USAGE", "EXIT_BUDGET"]
 
@@ -37,9 +36,17 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """Carries the help text to ``_dispatch``, which writes it to the
+    invocation's own output stream instead of the process's stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -167,20 +174,16 @@ def _cmd_emit_central_swap(args, out, err) -> int:
 def _cmd_prove_swap(args, out, err) -> int:
     t = parse_term(args.term)
     p1, p2 = _parse_cli_path(args.path1), _parse_cli_path(args.path2)
-    swapped = decision.swap_leaves(t, p1, p2)
+    swapped = swap_leaves(t, p1, p2)
     if swapped == t:
-        verdict = decision.Equal(decision.ProofScript(start=t))
+        verdict = decision.Equal(ProofScript(start=t))
     else:
         verdict = decision.equal_exhaustive(t, swapped, args.budget)
     if isinstance(verdict, decision.Equal):
         out.flush()
         out.buffer.write(formats.encode_script(verdict.script))
         return EXIT_OK
-    if isinstance(verdict, decision.Distinct):
-        print(f"Distinct (closure size {verdict.closure_size})", file=out)
-        return EXIT_NEGATIVE
-    print(f"Unknown (explored {verdict.explored}, budget {verdict.budget})", file=out)
-    return EXIT_BUDGET
+    return _report_not_equal(verdict, out)
 
 
 def _cmd_equal(args, out, err) -> int:
@@ -189,6 +192,11 @@ def _cmd_equal(args, out, err) -> int:
     if isinstance(verdict, decision.Equal):
         print(f"Equal ({len(verdict.script.moves)} moves)", file=out)
         return EXIT_OK
+    return _report_not_equal(verdict, out)
+
+
+def _report_not_equal(verdict, out) -> int:
+    """Print a Distinct or Unknown verdict and return its exit code."""
     if isinstance(verdict, decision.Distinct):
         print(f"Distinct (closure size {verdict.closure_size})", file=out)
         return EXIT_NEGATIVE
@@ -238,6 +246,9 @@ def _dispatch(argv: list[str], out, err) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
         print(exc, file=err)
         return EXIT_USAGE
@@ -260,18 +271,11 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]:
     out_raw, err_raw = io.BytesIO(), io.BytesIO()
     out = io.TextIOWrapper(out_raw, encoding="utf-8", newline="\n")
     err = io.TextIOWrapper(err_raw, encoding="utf-8", newline="\n")
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = _dispatch(argv, out, err)
-        except SystemExit as exc:  # argparse --help
-            code = int(exc.code or 0)
+    code = _dispatch(argv, out, err)
     out.flush()
     err.flush()
     return code, out_raw.getvalue(), err_raw.getvalue()
 
 
 def main(argv=None) -> int:
-    try:
-        return _dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    return _dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)

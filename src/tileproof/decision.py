@@ -10,7 +10,7 @@ ends at once and stitches an explicit proof script when the frontiers meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Collection, Iterator, Optional, Sequence, Union
 
 from .moves import Move, ProofScript, apply_move, enumerate_moves, invert_move
 from .terms import Term, TermError, leaf_multiset, subterm_at, swap_leaves, Leaf
@@ -93,22 +93,30 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
         if not frontier:
             return Distinct(closure_size=len(seen))
         next_frontier: list[Term] = []
-        for t in frontier:
-            for m in enumerate_moves(t):
-                u = apply_move(t, m)
-                if u in seen:
-                    continue
-                explored += 1
-                if explored > budget:
-                    return Unknown(explored=explored - 1, budget=budget)
-                seen[u] = (t, m)
-                next_frontier.append(u)
-                if u in other:
-                    return Equal(_stitch(t1, u, seen_a, seen_b))
+        for t, m, u in _expand(frontier, seen):
+            explored += 1
+            if explored > budget:
+                return Unknown(explored=explored - 1, budget=budget)
+            seen[u] = (t, m)
+            next_frontier.append(u)
+            if u in other:
+                return Equal(_stitch(t1, u, seen_a, seen_b))
         if side == "a":
             frontier_a = next_frontier
         else:
             frontier_b = next_frontier
+
+
+def _expand(frontier: list[Term], seen: Collection[Term]) -> Iterator[tuple[Term, Move, Term]]:
+    """One breadth-first layer: yield ``(term, move, successor)`` for every
+    successor of the frontier that is not in ``seen``, in move-enumeration
+    order.  Membership is tested lazily, so a caller that records each
+    successor in ``seen`` before resuming gets every new term once."""
+    for t in frontier:
+        for m in enumerate_moves(t):
+            u = apply_move(t, m)
+            if u not in seen:
+                yield t, m, u
 
 
 def _stitch(t1, meet, seen_a, seen_b) -> ProofScript:
@@ -147,14 +155,11 @@ def move_closure(t: Term, budget: Optional[int] = None) -> frozenset[Term]:
     frontier = [t]
     while frontier:
         nxt = []
-        for s in frontier:
-            for m in enumerate_moves(s):
-                u = apply_move(s, m)
-                if u not in seen:
-                    if budget is not None and len(seen) >= budget:
-                        raise ValueError(f"closure exceeded budget of {budget} states")
-                    seen.add(u)
-                    nxt.append(u)
+        for _, _, u in _expand(frontier, seen):
+            if budget is not None and len(seen) >= budget:
+                raise ValueError(f"closure exceeded budget of {budget} states")
+            seen.add(u)
+            nxt.append(u)
         frontier = nxt
     return frozenset(seen)
 

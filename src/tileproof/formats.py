@@ -141,13 +141,16 @@ def decode_script(data: bytes) -> ProofScript:
 # ---------------------------------------------------------------------------
 
 
-def encode_model(m: CayleyPair) -> bytes:
-    doc = {
+def _model_doc(m: CayleyPair) -> dict:
+    return {
         "n": m.n,
         "h": [list(row) for row in m.table_h],
         "v": [list(row) for row in m.table_v],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def encode_model(m: CayleyPair) -> bytes:
+    return (json.dumps(_model_doc(m), indent=2) + "\n").encode("utf-8")
 
 
 def _decode_table(raw: Any, n: int, name: str) -> tuple[tuple[int, ...], ...]:
@@ -183,7 +186,7 @@ def claims_report_json(report: ClaimsReport) -> bytes:
                 "checked": status.checked,
                 "counterexample": None
                 if status.counterexample is None
-                else json.loads(encode_model(status.counterexample)),
+                else _model_doc(status.counterexample),
             }
             for name, status in sorted(report.claims.items())
         },

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 __all__ = [
     "CayleyPair",
@@ -119,22 +119,48 @@ class AxiomReport:
         return self.assoc_h is None and self.assoc_v is None and self.interchange is None
 
 
-def _first_assoc_failure(tab: Table, n: int) -> Optional[tuple[int, int, int]]:
+def _first_assoc_failure(tab: Sequence[Sequence[int]], n: int) -> Optional[tuple[int, int, int]]:
+    """First triple, in lexicographic order, that breaks associativity.
+
+    ``tab`` may be partial, with -1 in the cells not filled in yet; a triple
+    counts only once all of its lookups are filled in.
+    """
     for x in range(n):
         for y in range(n):
+            xy = tab[x][y]
+            if xy < 0:
+                continue
             for z in range(n):
-                if tab[tab[x][y]][z] != tab[x][tab[y][z]]:
+                yz = tab[y][z]
+                if yz < 0:
+                    continue
+                lhs = tab[xy][z]
+                rhs = tab[x][yz]
+                if lhs != rhs and lhs >= 0 and rhs >= 0:
                     return (x, y, z)
     return None
 
 
-def _first_interchange_failure(m: CayleyPair) -> Optional[tuple[int, int, int, int]]:
-    h, v, n = m.table_h, m.table_v, m.n
+def _first_interchange_failure(
+    h: Table, v: Sequence[Sequence[int]], n: int
+) -> Optional[tuple[int, int, int, int]]:
+    """First quadruple, in lexicographic order, that breaks interchange.
+
+    ``h`` is complete; ``v`` may be partial, as in ``_first_assoc_failure``.
+    """
     for x in range(n):
         for y in range(n):
+            hxy = h[x][y]
             for z in range(n):
+                vxz = v[x][z]
+                if vxz < 0:
+                    continue
                 for w in range(n):
-                    if v[h[x][y]][h[z][w]] != h[v[x][z]][v[y][w]]:
+                    # an unfilled -1 still indexes a real cell, so the unfilled
+                    # test can wait for a mismatch
+                    lhs = v[hxy][h[z][w]]
+                    vyw = v[y][w]
+                    if lhs != h[vxz][vyw] and lhs >= 0 and vyw >= 0:
                         return (x, y, z, w)
     return None
 
@@ -154,7 +180,7 @@ def check_axioms(m: CayleyPair) -> AxiomReport:
     return AxiomReport(
         assoc_h=_first_assoc_failure(m.table_h, m.n),
         assoc_v=_first_assoc_failure(m.table_v, m.n),
-        interchange=_first_interchange_failure(m),
+        interchange=_first_interchange_failure(m.table_h, m.table_v, m.n),
     )
 
 
@@ -329,86 +355,17 @@ def configured_max_order() -> int:
     return value
 
 
-def _assoc_tables(n: int) -> list[Table]:
-    """All associative tables on 0..n-1, lexicographic in row-major order."""
-    cells = [(x, y) for x in range(n) for y in range(n)]
-    tab = [[-1] * n for _ in range(n)]
-    out: list[Table] = []
+def _assoc_tables(
+    n: int, prune: Callable[[list[list[int]]], bool] = lambda tab: True
+) -> Iterator[Table]:
+    """All associative tables on 0..n-1 that also pass ``prune``,
+    lexicographic in row-major order.
 
-    def consistent() -> bool:
-        # check every triple whose required lookups are all filled in
-        for x in range(n):
-            for y in range(n):
-                xy = tab[x][y]
-                if xy < 0:
-                    continue
-                for z in range(n):
-                    yz = tab[y][z]
-                    if yz < 0:
-                        continue
-                    lhs = tab[xy][z]
-                    rhs = tab[x][yz]
-                    if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                        return False
-        return True
-
-    def fill(k: int):
-        if k == len(cells):
-            out.append(tuple(tuple(row) for row in tab))
-            return
-        x, y = cells[k]
-        for v in range(n):
-            tab[x][y] = v
-            if consistent():
-                fill(k + 1)
-        tab[x][y] = -1
-
-    fill(0)
-    return out
-
-
-def _interchange_consistent(h: Table, v: list[list[int]], n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            hxy = h[x][y]
-            for z in range(n):
-                vxz = v[x][z]
-                if vxz < 0:
-                    continue
-                for w in range(n):
-                    lhs = v[hxy][h[z][w]]
-                    vyw = v[y][w]
-                    if lhs < 0 or vyw < 0:
-                        continue
-                    if lhs != h[vxz][vyw]:
-                        return False
-    return True
-
-
-def _compatible_v_tables(h: Table, n: int) -> Iterator[Table]:
-    """Associative v-tables satisfying interchange against a fixed h-table.
-
-    Fills cells in row-major order with incremental associativity and
-    interchange pruning, which keeps order 3 fast and order 4 feasible.
+    Cells are filled in that order and every partial table is checked, so a
+    failed associativity or ``prune`` test cuts the whole subtree.
     """
     cells = [(x, y) for x in range(n) for y in range(n)]
     tab = [[-1] * n for _ in range(n)]
-
-    def assoc_consistent() -> bool:
-        for x in range(n):
-            for y in range(n):
-                xy = tab[x][y]
-                if xy < 0:
-                    continue
-                for z in range(n):
-                    yz = tab[y][z]
-                    if yz < 0:
-                        continue
-                    lhs = tab[xy][z]
-                    rhs = tab[x][yz]
-                    if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                        return False
-        return True
 
     def fill(k: int):
         if k == len(cells):
@@ -417,7 +374,7 @@ def _compatible_v_tables(h: Table, n: int) -> Iterator[Table]:
         x, y = cells[k]
         for val in range(n):
             tab[x][y] = val
-            if assoc_consistent() and _interchange_consistent(h, tab, n):
+            if _first_assoc_failure(tab, n) is None and prune(tab):
                 yield from fill(k + 1)
         tab[x][y] = -1
 
@@ -462,9 +419,8 @@ def enumerate_models(
     if not 1 <= n <= cap:
         raise MaxOrderError(f"order {n} outside configured range 1..{cap}")
     wanted = frozenset(constraints)
-    assoc = _assoc_tables(n)
-    for h in assoc:
-        for v in _compatible_v_tables(h, n):
+    for h in _assoc_tables(n):
+        for v in _assoc_tables(n, lambda tab: _first_interchange_failure(h, tab, n) is None):
             m = CayleyPair(n, h, v)
             if _passes_constraints(m, wanted):
                 yield m
@@ -495,21 +451,29 @@ class ClaimsReport:
         return all(s.passed for s in self.claims.values())
 
 
-def _claim_failures(m: CayleyPair) -> dict[str, bool]:
-    """Which claims apply to this model and whether each one holds on it."""
+def _classify(m: CayleyPair) -> tuple[dict[str, bool], dict[str, Optional[bool]]]:
+    """Compute each structural predicate once.  Returns the tallied traits
+    and, per claim, None when it does not apply to the model, else whether
+    it holds."""
     comm = is_commutative(m)
     both_comm = comm.comm_h and comm.comm_v
     units = unit_report(m)
     inv = inverse_structure(m)
+    traits = {
+        "unital": units.unit_h is not None and units.unit_v is not None,
+        "cancellative": is_cancellative(m),
+        "inverse": inv is not None,
+        "bicancellable": has_bicancellable_element(m) is not None,
+    }
     results: dict[str, Optional[bool]] = {name: None for name in CLAIM_NAMES}
 
-    if units.unit_h is not None and units.unit_v is not None:
+    if traits["unital"]:
         results["EH"] = (
             units.unit_h == units.unit_v and comm.ops_coincide and both_comm
         )
-    if is_cancellative(m):
+    if traits["cancellative"]:
         results["C1"] = both_comm
-    if has_bicancellable_element(m) is not None:
+    if traits["bicancellable"]:
         results["C2"] = both_comm
     if inv is not None:
         results["L"] = all(
@@ -518,7 +482,7 @@ def _claim_failures(m: CayleyPair) -> dict[str, bool]:
         results["P"] = both_comm and _sandwich_identity(m.table_h, inv.inv_h, m.n) and (
             _sandwich_identity(m.table_v, inv.inv_v, m.n)
         )
-    return results
+    return traits, results
 
 
 def _sandwich_identity(tab: Table, inv: Sequence[int], n: int) -> bool:
@@ -554,17 +518,11 @@ def verify_claims(n_max: int, max_order: Optional[int] = None) -> ClaimsReport:
             "bicancellable": 0,
         }
         for m in enumerate_models(n, max_order=cap):
+            traits, results = _classify(m)
             tally["double_semigroups"] += 1
-            u = unit_report(m)
-            if u.unit_h is not None and u.unit_v is not None:
-                tally["unital"] += 1
-            if is_cancellative(m):
-                tally["cancellative"] += 1
-            if inverse_structure(m) is not None:
-                tally["inverse"] += 1
-            if has_bicancellable_element(m) is not None:
-                tally["bicancellable"] += 1
-            for name, holds in _claim_failures(m).items():
+            for trait, has in traits.items():
+                tally[trait] += has
+            for name, holds in results.items():
                 if holds is None:
                     continue
                 checked[name] += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .terms import H, Leaf, Term, V, from_grid, grid_labels, hcat, vcat
+from .terms import H, Leaf, Term, TermError, V, from_grid, grid_labels, hcat, subterm_at, vcat
 
 __all__ = [
     "ROW",
@@ -78,15 +78,6 @@ class Move:
             raise MoveError(f"unknown move kind {self.kind!r}")
 
 
-def _node_at(t: Term, path: Sequence[int]) -> Term:
-    node = t
-    for i in path:
-        if isinstance(node, Leaf) or not 0 <= i < len(node.children):
-            raise BadPath(f"path {tuple(path)} does not address a node")
-        node = node.children[i]
-    return node
-
-
 def _replace_at(t: Term, path: Sequence[int], new: Term) -> Term:
     """Substitute at ``path`` and re-flatten every ancestor on the way up."""
     if not path:
@@ -101,7 +92,10 @@ def _checked_pieces(t: Term, m: Move):
     """Validate ``m`` against ``t`` and return the ambient node and the four
     interchange operands (first-left, first-right, second-left, second-right,
     reading 'left' as 'top' for column moves)."""
-    node = _node_at(t, m.path)
+    try:
+        node = subterm_at(t, m.path)
+    except TermError:
+        raise BadPath(f"path {tuple(m.path)} does not address a node") from None
     want_ambient, want_child = (V, H) if m.kind == ROW else (H, V)
     if not isinstance(node, want_ambient):
         raise BadOrientation(
@@ -120,12 +114,18 @@ def _checked_pieces(t: Term, m: Move):
         raise BadSplit(f"split_first={m.split_first} out of range for arity {len(first.children)}")
     if not 1 <= m.split_second < len(second.children):
         raise BadSplit(f"split_second={m.split_second} out of range for arity {len(second.children)}")
-    join = hcat if m.kind == ROW else vcat
-    x = join(first.children[: m.split_first])
-    y = join(first.children[m.split_first :])
-    z = join(second.children[: m.split_second])
-    w = join(second.children[m.split_second :])
+    outer, _ = _joins(m.kind)
+    x = outer(first.children[: m.split_first])
+    y = outer(first.children[m.split_first :])
+    z = outer(second.children[: m.split_second])
+    w = outer(second.children[m.split_second :])
     return node, x, y, z, w
+
+
+def _joins(kind: str):
+    """``(outer, inner)`` for a move kind: ``outer`` joins the parts of one
+    run of the pair, ``inner`` is the ambient node's direction."""
+    return (hcat, vcat) if kind == ROW else (vcat, hcat)
 
 
 def apply_move(t: Term, m: Move) -> Term:
@@ -138,14 +138,10 @@ def apply_move(t: Term, m: Move) -> Term:
     in normal form.
     """
     node, x, y, z, w = _checked_pieces(t, m)
-    if m.kind == ROW:
-        merged = hcat([vcat([x, z]), vcat([y, w])])
-    else:
-        merged = vcat([hcat([x, z]), hcat([y, w])])
+    outer, inner = _joins(m.kind)
     kids = list(node.children)
-    kids[m.index : m.index + 2] = [merged]
-    rebuilt = vcat(kids) if m.kind == ROW else hcat(kids)
-    return _replace_at(t, m.path, rebuilt)
+    kids[m.index : m.index + 2] = [outer([inner([x, z]), inner([y, w])])]
+    return _replace_at(t, m.path, inner(kids))
 
 
 def invert_move(t: Term, m: Move) -> Move:

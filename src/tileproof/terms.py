@@ -73,62 +73,57 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class H:
+class _Run:
+    """A flattened run of at least two children; ``H`` and ``V`` differ only
+    in direction, which is their class.  ``sep`` is the concrete-syntax
+    operator and ``noun`` names the node in error messages."""
+
+    children: tuple["Term", ...]
+
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise TermError(f"{self.noun} node needs at least two children")
+        if type(self) in map(type, self.children):
+            raise TermError(f"{self.noun} node may not contain {self.noun} child (flatten first)")
+
+
+class H(_Run):
     """Horizontal run, children left to right.  Use ``hcat`` to build one."""
 
-    children: tuple["Term", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise TermError("an H node needs at least two children")
-        if any(isinstance(c, H) for c in self.children):
-            raise TermError("an H node may not contain an H child (flatten first)")
+    sep, noun = "|", "an H"
 
 
-@dataclass(frozen=True)
-class V:
+class V(_Run):
     """Vertical stack, children top to bottom.  Use ``vcat`` to build one."""
 
-    children: tuple["Term", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise TermError("a V node needs at least two children")
-        if any(isinstance(c, V) for c in self.children):
-            raise TermError("a V node may not contain a V child (flatten first)")
+    sep, noun = "/", "a V"
 
 
 Term = Union[Leaf, H, V]
 
 
-def hcat(parts: Iterable[Term]) -> Term:
-    """Horizontal composition: flattens nested runs, unwraps a singleton."""
+def _cat(run: type[_Run], parts: Iterable[Term], direction: str) -> Term:
     flat: list[Term] = []
     for p in parts:
-        if isinstance(p, H):
+        if type(p) is run:
             flat.extend(p.children)
         else:
             flat.append(p)
     if not flat:
-        raise TermError("empty horizontal composition")
+        raise TermError(f"empty {direction} composition")
     if len(flat) == 1:
         return flat[0]
-    return H(tuple(flat))
+    return run(tuple(flat))
+
+
+def hcat(parts: Iterable[Term]) -> Term:
+    """Horizontal composition: flattens nested runs, unwraps a singleton."""
+    return _cat(H, parts, "horizontal")
 
 
 def vcat(parts: Iterable[Term]) -> Term:
     """Vertical composition (top operand first); flattens and unwraps."""
-    flat: list[Term] = []
-    for p in parts:
-        if isinstance(p, V):
-            flat.extend(p.children)
-        else:
-            flat.append(p)
-    if not flat:
-        raise TermError("empty vertical composition")
-    if len(flat) == 1:
-        return flat[0]
-    return V(tuple(flat))
+    return _cat(V, parts, "vertical")
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +242,7 @@ def format_term(t: Term) -> str:
     """
     if isinstance(t, Leaf):
         return t.label
-    if isinstance(t, H):
-        return "|".join(
-            c.label if isinstance(c, Leaf) else f"({format_term(c)})" for c in t.children
-        )
-    return "/".join(
+    return t.sep.join(
         c.label if isinstance(c, Leaf) else f"({format_term(c)})" for c in t.children
     )
 
@@ -350,7 +341,7 @@ def swap_leaves(t: Term, path_1: Sequence[int], path_2: Sequence[int]) -> Term:
         if isinstance(node, Leaf):
             return node
         kids = tuple(rebuild(c, path + (i,)) for i, c in enumerate(node.children))
-        return H(kids) if isinstance(node, H) else V(kids)
+        return type(node)(kids)
 
     return rebuild(t, ())
 

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import sys
+
+from tileproof import cli
 
 from tileproof.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, run
 from tileproof.formats import decode_script, encode_model
@@ -110,6 +114,17 @@ class TestDecisionCommands:
         script = decode_script(out)
         assert script.start == parse_term("(a|a)/(c|d)")
 
+    def test_prove_swap_script_bytes_are_pinned(self):
+        # the script depends on the search's move order; these are its bytes
+        code, out, err = run(
+            ["prove-swap", "[a b c d; e f g h; i j k l]", "2,2", "2,3", "--budget", "100000"]
+        )
+        assert code == EXIT_OK
+        assert len(decode_script(out).moves) == 14
+        assert hashlib.sha256(out).hexdigest() == (
+            "6aba761029785e942e1cb6968cf5eb7b5047fddd1a470ac16d52264e321256b2"
+        )
+
     def test_prove_swap_distinct(self):
         code, out, err = run(["prove-swap", "(a|b)/(c|d)", "1,1", "1,2", "--budget", "100"])
         assert code == EXIT_NEGATIVE
@@ -193,3 +208,18 @@ class TestUsage:
     def test_help(self):
         code, out, err = run(["--help"])
         assert code == EXIT_OK and b"usage" in out
+        code, out, err = run(["claims", "verify", "--help"])
+        assert code == EXIT_OK and out.startswith(b"usage: tileproof claims verify")
+
+    def test_run_leaves_process_streams_alone(self, monkeypatch):
+        before = sys.stdout, sys.stderr
+        seen = []
+
+        def spy(text):
+            seen.append((sys.stdout, sys.stderr))
+            return parse_term(text)
+
+        monkeypatch.setattr(cli, "parse_term", spy)
+        code, out, err = run(["parse", "a|b"])
+        assert code == EXIT_OK and out == b"a|b\n"
+        assert seen == [before]

@@ -93,6 +93,9 @@ class TestClosure:
     def test_2x2_closure(self):
         assert move_closure(t("(a|b)/(c|d)")) == frozenset({t("(a|b)/(c|d)"), t("(a/c)|(b/d)")})
 
+    def test_3x3_grid_closure_size(self):
+        assert len(move_closure(t("[a b c; d e f; g h i]"))) == 118
+
     def test_budget_overflow_raises(self):
         with pytest.raises(ValueError):
             move_closure(t("(a|b|c)/(d|e|f)/(g|h|i)"), budget=3)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tileproof import models
 from tileproof.models import (
     AxiomError,
     CayleyPair,
@@ -23,6 +24,10 @@ from oracles import naive_double_semigroup
 
 # frozen regression values, cross-checked below where a naive scan is feasible
 LABELED_DOUBLE_SEMIGROUPS = {1: 1, 2: 46, 3: 2293}
+
+# labeled semigroups (associative tables) of order n, OEIS A023814; counted
+# independently of this code, so they guard the table filler
+ASSOCIATIVE_TABLES = {1: 1, 2: 8, 3: 113, 4: 3492}
 
 MIX = CayleyPair(2, ((0, 0), (1, 1)), ((0, 1), (1, 0)))  # (first projection, xor)
 
@@ -124,6 +129,10 @@ class TestPredicates:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("n", sorted(ASSOCIATIVE_TABLES))
+    def test_associative_table_counts_match_oeis(self, n):
+        assert sum(1 for _ in models._assoc_tables(n)) == ASSOCIATIVE_TABLES[n]
+
     def test_order_1_has_exactly_one_model(self):
         assert list(enumerate_models(1)) == [CayleyPair(1, ((0,),), ((0,),))]
 
