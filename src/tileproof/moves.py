@@ -57,7 +57,7 @@ class BadSplit(MoveError):
     """A split position is outside ``1 .. arity-1`` of its child."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One located interchange application.
 

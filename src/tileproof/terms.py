@@ -3,7 +3,8 @@
 A term is a leaf, a horizontal run ``H(...)`` or a vertical stack ``V(...)``.
 Runs never nest in their own direction and always have at least two children,
 so two terms are structurally equal exactly when they are equal modulo
-associativity of the two composition laws.
+associativity of the two composition laws.  Terms are hash-consed: each
+distinct term is one object, so equality and hashing are by identity.
 
 Geometrically a term is a guillotine tiling of the unit square: an H node
 splits its rectangle left-to-right, a V node top-to-bottom.  ``layout`` makes
@@ -14,8 +15,10 @@ reads off the labels around the boundary.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -64,38 +67,123 @@ def _check_label(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Leaf:
-    label: str
+# Hash-consing: every distinct term exists once per process.  The public
+# constructors and ``_cat`` return the live object when there is one, so
+# ``==`` and ``hash`` are the default identity ones, O(1) and not recursive.
+# Each class maps a key (label or children tuple) to a weak reference, and a
+# dying term removes its own entry, so the tables hold only live terms.
+# Lookups take no lock; a miss re-checks and inserts under ``_intern_lock``,
+# so two threads never create two copies of one term.  The lock is
+# re-entrant because a term can die, and drop its entry, inside ``_intern``.
+# A ``weakref.WeakValueDictionary`` would do the same, but its lookups and
+# inserts run in Python, which made building new terms about a third slower.
+_intern_lock = threading.RLock()
 
-    def __post_init__(self):
-        _check_label(self.label)
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
-class _Run:
+def _intern(cls: type, key):
+    """The live ``cls`` object whose one field is ``key``, created if there is
+    none.  This is the trusted constructor: ``key`` is not checked."""
+    ref = cls._table.get(key)
+    t = ref() if ref is not None else None
+    if t is None:
+        with _intern_lock:
+            ref = cls._table.get(key)
+            t = ref() if ref is not None else None
+            if t is None:
+                t = object.__new__(cls)
+                cls._field.__set__(t, key)
+                ref = _Ref(t, cls._forget)
+                ref.key = key
+                cls._table[key] = ref
+    return t
+
+
+class _Interned:
+    """Immutable slots; copies and pickles resolve to the interned object.
+    Each subclass has its own intern table."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        table = cls._table = {}
+
+        def forget(ref):
+            with _intern_lock:
+                if table.get(ref.key) is ref:
+                    del table[ref.key]
+
+        cls._forget = forget
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Leaf(_Interned):
+    """One tile.  ``Leaf(label)`` is the only live leaf with that label."""
+
+    __slots__ = ("label",)
+
+    def __new__(cls, label: str) -> Leaf:
+        return _intern(cls, _check_label(label))
+
+    def __repr__(self):
+        return f"Leaf(label={self.label!r})"
+
+    def __reduce__(self):
+        return Leaf, (self.label,)
+
+
+class _Run(_Interned):
     """A flattened run of at least two children; ``H`` and ``V`` differ only
     in direction, which is their class.  ``sep`` is the concrete-syntax
     operator and ``noun`` names the node in error messages."""
 
-    children: tuple["Term", ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise TermError(f"{self.noun} node needs at least two children")
-        if type(self) in map(type, self.children):
-            raise TermError(f"{self.noun} node may not contain {self.noun} child (flatten first)")
+    def __new__(cls, children: Iterable[Term]) -> _Run:
+        children = tuple(children)
+        if len(children) < 2:
+            raise TermError(f"{cls.noun} node needs at least two children")
+        if cls in map(type, children):
+            raise TermError(f"{cls.noun} node may not contain {cls.noun} child (flatten first)")
+        return _intern(cls, children)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(children={self.children!r})"
+
+    def __reduce__(self):
+        return type(self), (self.children,)
+
+
+Leaf._field, _Run._field = Leaf.label, _Run.children  # the slot ``_intern`` fills
 
 
 class H(_Run):
     """Horizontal run, children left to right.  Use ``hcat`` to build one."""
 
+    __slots__ = ()
     sep, noun = "|", "an H"
 
 
 class V(_Run):
     """Vertical stack, children top to bottom.  Use ``vcat`` to build one."""
 
+    __slots__ = ()
     sep, noun = "/", "a V"
 
 
@@ -113,7 +201,7 @@ def _cat(run: type[_Run], parts: Iterable[Term], direction: str) -> Term:
         raise TermError(f"empty {direction} composition")
     if len(flat) == 1:
         return flat[0]
-    return run(tuple(flat))
+    return _intern(run, tuple(flat))
 
 
 def hcat(parts: Iterable[Term]) -> Term:
@@ -135,13 +223,23 @@ def vcat(parts: Iterable[Term]) -> Term:
 #   atom  := IDENT | '(' term ')' | grid
 #   grid  := '[' row (';' row)* ']'
 #   row   := IDENT+                      -- whitespace separated
+#
+# Parentheses nest at most ``_MAX_NESTING`` deep, and so do runs (a term's
+# depth counts the runs on its longest root-to-leaf path).  A parenthesis
+# costs the parser three Python frames, and the recursive walkers
+# (``format_term``, ``leaf_multiset``, ``enumerate_moves``, the search,
+# ``repr``) take at most three per run level, so every term that parses needs
+# about 300 frames, far inside the default recursion limit of 1,000.
 # ---------------------------------------------------------------------------
+
+_MAX_NESTING = 100
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses
 
     def byte_offset(self, pos: int | None = None) -> int:
         p = self.pos if pos is None else pos
@@ -173,40 +271,63 @@ def parse_term(text: str) -> Term:
     """Parse concrete syntax into a flattened term.
 
     Raises ``ParseError`` (with a byte offset) on bad input, including empty
-    input.
+    input, and parentheses or runs nested more than 100 deep.
     """
     sc = _Scanner(text)
     if sc.peek() == "":
         raise ParseError("empty input", sc.byte_offset())
-    t = _parse_vterm(sc)
+    t, _ = _checked(sc, sc.pos, _parse_vterm(sc))
     if sc.peek() != "":
         raise ParseError("unexpected trailing input", sc.byte_offset())
     return t
 
 
-def _parse_vterm(sc: _Scanner) -> Term:
+# The parse functions return ``(term, depth)``.  ``format_term`` prints one
+# parenthesis per run level below the root, so capping the depth keeps the
+# canonical text of every parsed term parseable.
+
+
+def _checked(sc: _Scanner, pos: int, parsed: tuple[Term, int]) -> tuple[Term, int]:
+    if parsed[1] > _MAX_NESTING:
+        raise ParseError(f"nested more than {_MAX_NESTING} deep", sc.byte_offset(pos))
+    return parsed
+
+
+def _join(cat, run: type[_Run], parts: list[tuple[Term, int]]) -> tuple[Term, int]:
+    if len(parts) == 1:
+        return parts[0]
+    # a part in the run's own direction is flattened: its children join the run
+    return cat(t for t, _ in parts), max(d if type(t) is run else d + 1 for t, d in parts)
+
+
+def _parse_vterm(sc: _Scanner) -> tuple[Term, int]:
     parts = [_parse_hterm(sc)]
     while sc.peek() == "/":
         sc.take("/")
         parts.append(_parse_hterm(sc))
-    return vcat(parts)
+    return _join(vcat, V, parts)
 
 
-def _parse_hterm(sc: _Scanner) -> Term:
+def _parse_hterm(sc: _Scanner) -> tuple[Term, int]:
     parts = [_parse_atom(sc)]
     while sc.peek() == "|":
         sc.take("|")
         parts.append(_parse_atom(sc))
-    return hcat(parts)
+    return _join(hcat, H, parts)
 
 
-def _parse_atom(sc: _Scanner) -> Term:
+def _parse_atom(sc: _Scanner) -> tuple[Term, int]:
     ch = sc.peek()
     if ch == "(":
+        start = sc.pos
+        if sc.depth == _MAX_NESTING:
+            raise ParseError(f"nested more than {_MAX_NESTING} deep", sc.byte_offset())
+        sc.depth += 1
         sc.take("(")
-        t = _parse_vterm(sc)
+        parsed = _parse_vterm(sc)
         sc.take(")")
-        return t
+        sc.depth -= 1
+        return _checked(sc, start, parsed)
     if ch == "[":
         sc.take("[")
         rows = [_parse_grid_row(sc)]
@@ -216,12 +337,12 @@ def _parse_atom(sc: _Scanner) -> Term:
         start = sc.byte_offset()
         sc.take("]")
         try:
-            return from_grid(rows)
+            return from_grid(rows), (len(rows) > 1) + (len(rows[0]) > 1)
         except TermError as exc:
             raise ParseError(str(exc), start) from exc
     if not ch or not (ch.isalpha() or ch == "_"):
         raise ParseError("expected an identifier, '(' or '['", sc.byte_offset())
-    return Leaf(sc.ident())
+    return Leaf(sc.ident()), 0
 
 
 def _parse_grid_row(sc: _Scanner) -> list[str]:
@@ -235,7 +356,8 @@ def _parse_grid_row(sc: _Scanner) -> list[str]:
 
 
 def format_term(t: Term) -> str:
-    """Canonical text for a term; ``parse_term(format_term(t)) == t``.
+    """Canonical text for a term; ``parse_term(format_term(t)) == t`` for
+    every term at most 100 runs deep.
 
     Children of the opposite direction are parenthesized, flattened runs are
     printed without grouping.
@@ -262,7 +384,7 @@ def from_grid(rows: Sequence[Sequence[str]]) -> Term:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise TermError("ragged grid: all rows must have the same length")
-    return vcat(hcat(Leaf(_check_label(name)) for name in row) for row in rows)
+    return vcat(hcat(Leaf(name) for name in row) for row in rows)
 
 
 def grid_labels(border: Sequence[str], middle: Sequence[str]) -> list[list[str]]:

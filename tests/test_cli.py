@@ -22,6 +22,55 @@ class TestParseCommand:
         assert b"error" in err and out == b""
 
 
+def _alternating(levels):
+    """``(b/(b|(...a...)))``: every parenthesis opens a new term level."""
+    text = "a"
+    for k in range(levels):
+        text = f"(b/{text})" if k % 2 else f"(b|{text})"
+    return text
+
+
+class TestDeepNesting:
+    """Nesting past the parser's cap is an input error at the first
+    parenthesis that is too deep, never a crash."""
+
+    def check(self, argv, offset):
+        code, out, err = run(argv)
+        assert (code, out) == (EXIT_USAGE, b"")
+        assert f"nested more than 100 deep (at byte {offset})".encode() in err
+        assert b"Traceback" not in err
+
+    def test_nested_parentheses(self):
+        self.check(["parse", "(" * 3000 + "a" + ")" * 3000], 100)
+
+    def test_alternating_directions(self):
+        self.check(["parse", _alternating(1200)], 300)
+
+    def test_equal_on_deep_term(self):
+        self.check(["equal", _alternating(400), _alternating(400), "--budget", "10"], 300)
+
+    def test_runs_nested_too_deep(self):
+        # each group adds two runs; the grid is two deep, so group 50 from
+        # the inside is the first past 100 runs
+        self.check(["parse", "(a/b|" * 60 + "[a b; c d]" + ")" * 60], 5 * 10)
+
+    def test_deepest_accepted_term_survives_every_command(self, tmp_path):
+        text = "(a/b|" * 49 + "[a b; c d]" + ")" * 49  # 100 runs deep
+        code, out, err = run(["parse", text])
+        assert code == EXIT_OK and parse_term(out.decode()) is parse_term(text)
+        code, out, err = run(["prove-swap", text, "1", "1", "--budget", "10"])
+        assert code == EXIT_OK
+        path = tmp_path / "deep.json"
+        path.write_bytes(out)
+        assert run(["verify-proof", str(path)])[0] == EXIT_OK
+        swapped = text.replace("[a b; c d]", "[b a; c d]")
+        for argv in (["equal", text, swapped, "--budget", "10"],
+                     ["prove-swap", text, "1", "2,1", "--budget", "10"],
+                     ["render", text, "--width", "800", "--height", "800"]):
+            code, out, err = run(argv)
+            assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_BUDGET) and b"Traceback" not in err
+
+
 class TestRenderCommand:
     def test_ascii_default(self):
         code, out, err = run(["render", "[a b; c d]"])

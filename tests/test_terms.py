@@ -1,4 +1,9 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -23,6 +28,8 @@ from tileproof.terms import (
     swap_leaves,
     vcat,
 )
+from tileproof.decision import move_closure
+from tileproof.moves import apply_move, enumerate_moves
 from conftest import random_term
 
 
@@ -112,6 +119,105 @@ class TestConstructors:
             from_grid([])
         with pytest.raises(TermError):
             from_grid([["a", "b"], ["c"]])
+
+
+def _node_table_size():
+    return len(H._table) + len(V._table)
+
+
+class TestInterning:
+    def test_one_object_per_term(self):
+        [m] = enumerate_moves(t("(a/c)|(b/d)"))
+        ab, cd = H((Leaf("a"), Leaf("b"))), H((Leaf("c"), Leaf("d")))
+        ways = [
+            t("(a|b)/(c|d)"),
+            t("[a b; c d]"),
+            from_grid([["a", "b"], ["c", "d"]]),
+            V((ab, cd)),
+            vcat([hcat([Leaf("a"), Leaf("b")]), cd]),
+            apply_move(t("(a/c)|(b/d)"), m),
+        ]
+        assert all(w is ways[0] for w in ways)
+        assert Leaf("a") is subterm_at(ways[0], (0, 0))
+
+    def test_immutable(self):
+        term = t("a|b")
+        for target, name in ((term, "children"), (term.children[0], "label"), (term, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+        assert term == t("a|b")
+
+    def test_copies_and_pickles_are_the_same_object(self):
+        for term in (Leaf("a"), t("[a b; c d]"), t("a|(b/c)")):
+            assert copy.copy(term) is term
+            assert copy.deepcopy(term) is term
+            assert pickle.loads(pickle.dumps(term)) is term
+            assert repr(pickle.loads(pickle.dumps(term))) == repr(term)
+
+    def test_table_holds_only_live_terms(self):
+        gc.collect()
+        before = _node_table_size()
+        closure = move_closure(from_grid([[f"live{3 * r + c}" for c in range(4)] for r in range(3)]))
+        assert len(closure) == 8258
+        assert _node_table_size() > before + 8258
+        del closure
+        gc.collect()
+        assert _node_table_size() <= before
+
+    def test_threads_intern_one_copy(self):
+        # Every round builds the same terms.  Even rounds start in lockstep,
+        # so threads miss the same keys together; odd rounds start as each
+        # thread drops its copies, so the last round's terms die while
+        # faster threads are already re-interning them.
+        threads, rounds = 8, 14
+        labels = [[f"th{4 * i + j}" for j in range(4)] for i in range(4)]
+        results = [None] * threads
+        same = [[] for _ in range(threads)]
+        go, built, compared = (threading.Barrier(threads, timeout=60) for _ in range(3))
+
+        def work(k):
+            for r in range(rounds):
+                if r % 2 == 0:
+                    go.wait()
+                grid = from_grid(labels)
+                layer = [grid] + [apply_move(grid, m) for m in enumerate_moves(grid)]
+                layer += [apply_move(u, m) for u in layer[1:] for m in enumerate_moves(u)]
+                results[k] = layer
+                built.wait()
+                same[k].append(len(layer) > 300 and all(a is b for a, b in zip(layer, results[0])))
+                compared.wait()
+                results[k] = layer = None
+
+        gc.collect()
+        before = _node_table_size()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert same == [[True] * rounds] * threads
+        gc.collect()
+        assert _node_table_size() <= before
+
+    def test_deep_terms_hash_and_compare_without_recursion(self):
+        def deep(label):
+            term = Leaf("a")
+            for k in range(5000):
+                term = (vcat if k % 2 else hcat)([Leaf(label), term])
+            return term
+
+        t1, t2, u = deep("b"), deep("b"), deep("c")
+        assert t1 == t2 and hash(t1) == hash(t2) and t1 != u
+        assert len({t1, t2, u}) == 2
+        assert t1 is t2
 
 
 class TestLeafOps:
