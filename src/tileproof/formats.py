@@ -28,6 +28,7 @@ __all__ = [
     "CodecError",
     "RenderError",
     "CanvasTooSmall",
+    "CanvasTooLarge",
     "RenderOptions",
     "encode_script",
     "decode_script",
@@ -208,6 +209,15 @@ class CanvasTooSmall(RenderError):
     """Some leaf cell would be smaller than 3x3 characters."""
 
 
+class CanvasTooLarge(RenderError):
+    """The character grid would have more than 4,000,000 cells."""
+
+
+# ``render_ascii`` holds one list entry per character, 8 bytes each on a
+# 64-bit build, so the cap bounds the grid at about 32 MB.
+_MAX_CANVAS_CELLS = 4_000_000
+
+
 @dataclass(frozen=True)
 class RenderOptions:
     width: int = 80
@@ -233,11 +243,14 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
     """Character rendering of the tiling; walls snap to the grid half-up.
 
     Raises ``CanvasTooSmall`` unless every leaf cell spans at least 3x3
-    characters (borders included).
+    characters (borders included), and ``CanvasTooLarge`` if the canvas has
+    more than 4,000,000 characters.
     """
+    W, Hh = opts.width, opts.height
+    if W * Hh > _MAX_CANVAS_CELLS:
+        raise CanvasTooLarge(f"canvas of {W}x{Hh} characters exceeds {_MAX_CANVAS_CELLS:,} cells")
     rects = layout(t)
     labels = dict(leaf_paths(t))
-    W, Hh = opts.width, opts.height
     if W < 3 or Hh < 3:
         raise CanvasTooSmall("canvas must be at least 3x3 characters")
 

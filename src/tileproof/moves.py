@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .terms import H, Leaf, Term, TermError, V, from_grid, grid_labels, hcat, subterm_at, vcat
+from .terms import (
+    H, Leaf, Term, TermError, V, _intern, from_grid, grid_labels, hcat, subterm_at, vcat,
+)
 
 __all__ = [
     "ROW",
@@ -78,20 +80,43 @@ class Move:
             raise MoveError(f"unknown move kind {self.kind!r}")
 
 
+# Trusted construction for moves that ``enumerate_moves`` makes: the kind is
+# ``ROW`` or ``COL`` by construction, so the slot descriptors fill the fields
+# without the dataclass ``__init__`` and its ``__post_init__`` check.
+_new_move = object.__new__
+_move_slots = (Move.kind, Move.path, Move.index, Move.split_first, Move.split_second)
+_set_kind, _set_path, _set_index, _set_first, _set_second = (d.__set__ for d in _move_slots)
+
+
+def _trusted_move(
+    kind: str, path: tuple[int, ...], index: int, split_first: int, split_second: int
+) -> Move:
+    m = _new_move(Move)
+    _set_kind(m, kind)
+    _set_path(m, path)
+    _set_index(m, index)
+    _set_first(m, split_first)
+    _set_second(m, split_second)
+    return m
+
+
 def _replace_at(t: Term, path: Sequence[int], new: Term) -> Term:
-    """Substitute at ``path`` and re-flatten every ancestor on the way up."""
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    kids = list(t.children)
-    kids[i] = _replace_at(kids[i], rest, new)
-    return hcat(kids) if isinstance(t, H) else vcat(kids)
+    """Substitute the normal-form term ``new`` at ``path`` and rebuild the
+    ancestors bottom-up.  A new child in its parent's direction, which only
+    an unwrapped pair produces, is spliced into the parent."""
+    ancestors = [t]
+    for i in path[:-1]:
+        ancestors.append(ancestors[-1].children[i])
+    for node, i in zip(reversed(ancestors), reversed(path)):
+        run, kids = type(node), node.children
+        middle = new.children if type(new) is run else (new,)
+        new = _intern(run, kids[:i] + middle + kids[i + 1 :])
+    return new
 
 
-def _checked_pieces(t: Term, m: Move):
-    """Validate ``m`` against ``t`` and return the ambient node and the four
-    interchange operands (first-left, first-right, second-left, second-right,
-    reading 'left' as 'top' for column moves)."""
+def _checked_pieces(t: Term, m: Move) -> tuple[Term, Term, Term]:
+    """Validate ``m`` against ``t``; return the ambient node and the two
+    adjacent children the move merges."""
     try:
         node = subterm_at(t, m.path)
     except TermError:
@@ -114,18 +139,16 @@ def _checked_pieces(t: Term, m: Move):
         raise BadSplit(f"split_first={m.split_first} out of range for arity {len(first.children)}")
     if not 1 <= m.split_second < len(second.children):
         raise BadSplit(f"split_second={m.split_second} out of range for arity {len(second.children)}")
-    outer, _ = _joins(m.kind)
-    x = outer(first.children[: m.split_first])
-    y = outer(first.children[m.split_first :])
-    z = outer(second.children[: m.split_second])
-    w = outer(second.children[m.split_second :])
-    return node, x, y, z, w
+    return node, first, second
 
 
-def _joins(kind: str):
-    """``(outer, inner)`` for a move kind: ``outer`` joins the parts of one
-    run of the pair, ``inner`` is the ambient node's direction."""
-    return (hcat, vcat) if kind == ROW else (vcat, hcat)
+def _split(run: Term, cut: int) -> tuple[Term, Term]:
+    """The two parts of ``run`` around ``cut``.  A slice of a flattened run
+    is flat, so a part is its one child or a run of the same direction."""
+    kids = run.children
+    left = kids[0] if cut == 1 else _intern(type(run), kids[:cut])
+    right = kids[-1] if cut == len(kids) - 1 else _intern(type(run), kids[cut:])
+    return left, right
 
 
 def apply_move(t: Term, m: Move) -> Term:
@@ -137,24 +160,38 @@ def apply_move(t: Term, m: Move) -> Term:
     re-flattened, so the leaf multiset is preserved and the output is again
     in normal form.
     """
-    node, x, y, z, w = _checked_pieces(t, m)
-    outer, inner = _joins(m.kind)
-    kids = list(node.children)
-    kids[m.index : m.index + 2] = [outer([inner([x, z]), inner([y, w])])]
-    return _replace_at(t, m.path, inner(kids))
+    node, first, second = _checked_pieces(t, m)
+    x, y = _split(first, m.split_first)
+    z, w = _split(second, m.split_second)
+    # ``x/z`` and ``y/w`` join in the ambient direction and may splice an
+    # operand, so they go through ``vcat``/``hcat``.  Each has at least two
+    # parts, so both are runs and their pair is a run in the other direction.
+    inner = vcat if m.kind == ROW else hcat
+    merged = _intern(type(first), (inner([x, z]), inner([y, w])))
+    kids, i = node.children, m.index
+    if len(kids) > 2:
+        merged = _intern(type(node), kids[:i] + (merged,) + kids[i + 2 :])
+    return _replace_at(t, m.path, merged)
 
 
 def invert_move(t: Term, m: Move) -> Move:
     """The move that undoes ``m`` on ``apply_move(t, m)``.
 
-    The inverse has the mirrored kind.  Its coordinates account for the
-    re-flattening done by ``apply_move``: if the ambient pair was the node's
-    only content the merged child is spliced into the grandparent.
+    The inverse has the mirrored kind.  Its splits count the parts ``x`` and
+    ``y`` contribute to the merged ``x/z`` and ``y/w``: the children of an
+    operand that is a run in the ambient direction, else one.  Its
+    coordinates account for the re-flattening done by ``apply_move``: if the
+    ambient pair was the node's only content the merged child is spliced
+    into the grandparent.
     """
-    node, x, y, z, w = _checked_pieces(t, m)
-    part_type = V if m.kind == ROW else H
-    inv_split_first = len(x.children) if isinstance(x, part_type) else 1
-    inv_split_second = len(y.children) if isinstance(y, part_type) else 1
+    node, first, second = _checked_pieces(t, m)
+    kids = first.children
+
+    def parts(operand: Term) -> int:
+        return len(operand.children) if type(operand) is type(node) else 1
+
+    inv_split_first = parts(kids[0]) if m.split_first == 1 else 1
+    inv_split_second = parts(kids[-1]) if m.split_first == len(kids) - 1 else 1
     inv_kind = COL if m.kind == ROW else ROW
     if len(node.children) > 2:
         inv_path = m.path + (m.index,)
@@ -172,22 +209,24 @@ def enumerate_moves(t: Term) -> list[Move]:
     """Every move applicable to ``t``, without duplicates, ordered by
     (path, index, split_first, split_second)."""
     out: list[Move] = []
-    _enumerate_into(t, (), out)
+    if type(t) is not Leaf:
+        _enumerate_into(t, (), out)
     return out
 
 
 def _enumerate_into(t: Term, path: tuple[int, ...], out: list[Move]):
-    if isinstance(t, Leaf):
-        return
-    kind, child_type = (ROW, H) if isinstance(t, V) else (COL, V)
-    for i in range(len(t.children) - 1):
-        first, second = t.children[i], t.children[i + 1]
-        if isinstance(first, child_type) and isinstance(second, child_type):
+    kind, child_type = (ROW, H) if type(t) is V else (COL, V)
+    kids = t.children
+    for i in range(len(kids) - 1):
+        first, second = kids[i], kids[i + 1]
+        if type(first) is child_type and type(second) is child_type:
+            seconds = range(1, len(second.children))
             for s1 in range(1, len(first.children)):
-                for s2 in range(1, len(second.children)):
-                    out.append(Move(kind, path, i, s1, s2))
-    for i, c in enumerate(t.children):
-        _enumerate_into(c, path + (i,), out)
+                for s2 in seconds:
+                    out.append(_trusted_move(kind, path, i, s1, s2))
+    for i, c in enumerate(kids):
+        if type(c) is not Leaf:
+            _enumerate_into(c, path + (i,), out)
 
 
 # ---------------------------------------------------------------------------

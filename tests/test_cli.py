@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 
 from tileproof import cli
 
@@ -93,6 +94,24 @@ class TestRenderCommand:
     def test_zero_dimensions_are_an_error_not_a_default(self):
         code, out, err = run(["render", "a", "--width", "0"])
         assert code == EXIT_USAGE and b"width and height" in err
+
+    def test_canvas_too_large_is_refused_before_the_grid(self):
+        # 4,002,000 cells, one past 2000x2000; the grid alone would take 32 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run(["render", "a", "--width", "2001", "--height", "2000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_USAGE, b"")
+        assert b"exceeds 4,000,000 cells" in err and b"Traceback" not in err
+        assert peak < 1_000_000
+
+    def test_svg_has_no_canvas_cap(self):
+        code, out, err = run(
+            ["render", "a", "--format", "svg", "--width", "2001", "--height", "2000"]
+        )
+        assert code == EXIT_OK and b'width="2001"' in out
 
 
 class TestProofCommands:

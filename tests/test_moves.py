@@ -11,6 +11,7 @@ from tileproof.moves import (
     BadPath,
     BadSplit,
     Move,
+    MoveError,
     ProofScript,
     ReplayError,
     apply_move,
@@ -20,14 +21,17 @@ from tileproof.moves import (
 )
 from tileproof.terms import (
     Leaf,
+    V,
     border_word,
+    hcat,
     layout,
     leaf_multiset,
     parse_term,
     same_cyclic_word,
+    vcat,
 )
 from conftest import random_term
-from oracles import matcher_neighbors
+from oracles import matcher_neighbors, renormalize, to_tuple
 
 
 def t(text):
@@ -192,3 +196,75 @@ class TestReplay:
         with pytest.raises(ReplayError) as exc:
             replay(script)
         assert exc.value.index == 1
+
+
+def first_states(start, limit):
+    """The first ``limit`` terms of ``start``'s closure in breadth-first order."""
+    order, seen = [start], {start}
+    for s in order:
+        if len(order) >= limit:
+            break
+        for m in enumerate_moves(s):
+            u = apply_move(s, m)
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order[:limit]
+
+
+def is_normal(term):
+    return renormalize(to_tuple(term)) == to_tuple(term)
+
+
+class TestTrustedKernel:
+    """Successors are built by slicing and direct interning; the oracles
+    normalize and match on their own, so they check the trusted path."""
+
+    @pytest.fixture(scope="class")
+    def closure_3x3(self):
+        closure = bfs_closure(t("[a b c; d e f; g h i]"))
+        assert len(closure) == 118
+        return closure
+
+    def test_successors_match_the_matcher_on_the_3x3_closure(self, closure_3x3):
+        for term in closure_3x3:
+            successors = {apply_move(term, m) for m in enumerate_moves(term)}
+            assert successors == matcher_neighbors(term)
+            assert all(is_normal(u) for u in successors)
+
+    def test_successors_are_in_normal_form_on_the_3x4_closure(self):
+        states = first_states(t("[a b c d; e f g h; i j k l]"), 2000)
+        assert len(states) == 2000
+        successors = {apply_move(s, m) for s in states for m in enumerate_moves(s)}
+        assert all(is_normal(u) for u in successors)
+
+    def test_inverse_round_trips_every_successor(self, closure_3x3):
+        for term in closure_3x3:
+            for m in enumerate_moves(term):
+                assert apply_move(apply_move(term, m), invert_move(term, m)) is term
+
+    def test_enumerated_moves_equal_checked_ones(self, closure_3x3):
+        for term in closure_3x3:
+            for m in enumerate_moves(term):
+                checked = Move(m.kind, m.path, m.index, m.split_first, m.split_second)
+                assert type(m) is Move
+                assert m == checked
+                assert hash(m) == hash(checked)
+
+    def test_unknown_kind_still_raises(self):
+        with pytest.raises(MoveError):
+            Move("diag", (), 0, 1, 1)
+
+    def test_apply_at_depth_2000_does_not_recurse(self):
+        def wrapped(core, levels):
+            term = core
+            for k in range(levels):
+                term = (hcat, vcat)[k % 2]([term, Leaf(f"x{k}")])
+            return term
+
+        levels = 2000
+        term = wrapped(t("(a|b)/(c|d)"), levels)
+        got = apply_move(term, Move(ROW, (0,) * levels, 0, 1, 1))
+        # the merged pair is a horizontal run, spliced into its horizontal parent
+        assert got is wrapped(t("(a/c)|(b/d)"), levels)
+        assert type(got) is V
