@@ -206,8 +206,7 @@ def _report_not_equal(verdict, out) -> int:
 
 def _cmd_models_enumerate(args, out, err) -> int:
     for m in models.enumerate_models(args.order, tuple(args.constraint)):
-        doc = {"n": m.n, "h": [list(r) for r in m.table_h], "v": [list(r) for r in m.table_v]}
-        print(json.dumps(doc, separators=(",", ":")), file=out)
+        print(json.dumps(formats._model_doc(m), separators=(",", ":")), file=out)
     return EXIT_OK
 
 

@@ -3,6 +3,8 @@ import json
 import sys
 import tracemalloc
 
+import pytest
+
 from tileproof import cli
 
 from tileproof.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, run
@@ -217,6 +219,16 @@ class TestModelCommands:
         code, out, err = run(["models", "enumerate", "--order", "2", "--constraint", "unital"])
         assert code == EXIT_OK
         assert len(out.decode().strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--order", "3"], "1eaea5a7a5d1e486cc63796a29b554f09ba3e7a4ba75a20388ed4b91dbb41f38"),
+        (["--order", "2", "--constraint", "unital"],
+         "e4ca7d90e881425668d1a42f98387aee2e7892ebee3b4becb46a7955dadb4e41"),
+    ])
+    def test_enumerate_bytes_are_pinned(self, argv, digest):
+        code, out, err = run(["models", "enumerate", *argv])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_order_cap(self):
         code, out, err = run(["models", "enumerate", "--order", "4"])

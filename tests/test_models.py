@@ -1,6 +1,8 @@
+import gc
 import itertools
 import os
 import random
+import weakref
 
 import pytest
 
@@ -120,12 +122,74 @@ class TestPredicates:
         k = unit_report(k_combinator())
         assert k.unit_h is None and k.unit_v is None
 
+    def test_list_built_tables_work_in_every_predicate(self):
+        m = CayleyPair(2, [[0, 1], [1, 0]], [[0, 1], [1, 0]])
+        assert is_commutative(m) == is_commutative(xor_pair())
+        assert is_cancellative(m)
+        assert has_bicancellable_element(m) == 0
+        assert inverse_structure(m) == inverse_structure(xor_pair())
+        assert unit_report(m) == unit_report(xor_pair())
+        assert m == xor_pair() and hash(m) == hash(xor_pair())
+
     def test_predicates_require_a_model(self):
         broken = CayleyPair(2, ((0, 1), (0, 0)), ((0, 0), (0, 0)))
         with pytest.raises(AxiomError):
             is_commutative(broken)
         with pytest.raises(AxiomError):
             inverse_structure(broken)
+
+
+def _relabel(tab, perm):
+    n = len(perm)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[tab[x][y]]
+    return tuple(map(tuple, out))
+
+
+PREDICATES = (is_commutative, is_cancellative, has_bicancellable_element,
+              inverse_structure, unit_report)
+
+
+class TestValidationCounts:
+    @pytest.fixture
+    def axiom_checks(self, monkeypatch):
+        seen = []
+
+        def spy(m, _real=models.check_axioms):
+            seen.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(models, "check_axioms", spy)
+        return seen
+
+    def test_enumerated_models_are_not_rechecked(self, axiom_checks):
+        assert verify_claims(3).all_passed
+        assert axiom_checks == []
+
+    def test_outside_models_are_checked_once(self, axiom_checks):
+        enumerated = next(itertools.islice(enumerate_models(4, max_order=4), 1000, None))
+        perm = (2, 0, 3, 1)
+        model = CayleyPair(4, _relabel(enumerated.table_h, perm), _relabel(enumerated.table_v, perm))
+        for predicate in PREDICATES:
+            predicate(model)
+        assert axiom_checks == [model]
+        successor = tuple(tuple((x + 1) % 4 for _ in range(4)) for x in range(4))
+        broken = CayleyPair(4, model.table_h, successor)  # x*y = x+1 is not associative
+        for predicate in PREDICATES:
+            with pytest.raises(AxiomError):
+                predicate(broken)
+        assert axiom_checks == [model, broken]
+
+    def test_checked_models_are_freed(self):
+        # an order-4 model, so no equal model is left over from another test
+        m = next(itertools.islice(enumerate_models(4, max_order=4), 300, None))
+        is_commutative(m)
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
 
 
 class TestEnumeration:
