@@ -54,9 +54,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a term and print its canonical form")
+    p.set_defaults(handler=_cmd_parse)
     p.add_argument("term")
 
     p = sub.add_parser("render", help="draw the tiling of a term")
+    p.set_defaults(handler=_cmd_render)
     p.add_argument("term")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--width", type=int, default=None)
@@ -65,20 +67,24 @@ def _build_parser() -> _Parser:
                    help="leave cells with underscore-prefixed labels blank")
 
     p = sub.add_parser("verify-proof", help="replay a proof-script file")
+    p.set_defaults(handler=_cmd_verify_proof)
     p.add_argument("script_file")
 
     p = sub.add_parser("emit-central-swap", help="write the canned central-swap certificate")
+    p.set_defaults(handler=_cmd_emit_central_swap)
     p.add_argument("--labels", nargs=16, metavar="L",
                    help="all 16 grid labels, row-major (default e1..e12 border, a b c d middle)")
     p.add_argument("-o", "--output", required=True, help="output file, '-' for stdout")
 
     p = sub.add_parser("prove-swap", help="search for a proof transposing two leaves")
+    p.set_defaults(handler=_cmd_prove_swap)
     p.add_argument("term")
     p.add_argument("path1", help="leaf path, 1-based child indices like '2,1' ('.' = root)")
     p.add_argument("path2")
     p.add_argument("--budget", type=int, required=True)
 
     p = sub.add_parser("equal", help="decide equality of two terms")
+    p.set_defaults(handler=_cmd_equal)
     p.add_argument("term1")
     p.add_argument("term2")
     p.add_argument("--budget", type=int, required=True)
@@ -86,15 +92,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("models", help="finite double-semigroup tooling")
     msub = p.add_subparsers(dest="models_command", required=True)
     pe = msub.add_parser("enumerate", help="stream all models of one order as JSON lines")
+    pe.set_defaults(handler=_cmd_models_enumerate)
     pe.add_argument("--order", type=int, required=True)
     pe.add_argument("--constraint", action="append", default=[],
                     choices=("commutative", "cancellative", "inverse", "unital"))
     pc = msub.add_parser("check", help="check the axioms of a model file")
+    pc.set_defaults(handler=_cmd_models_check)
     pc.add_argument("model_file")
 
     p = sub.add_parser("claims", help="verify the commutativity theorems over small models")
     csub = p.add_subparsers(dest="claims_command", required=True)
     pv = csub.add_parser("verify")
+    pv.set_defaults(handler=_cmd_claims_verify)
     pv.add_argument("--max-order", type=int, required=True)
 
     return parser
@@ -231,16 +240,6 @@ def _cmd_claims_verify(args, out, err) -> int:
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "render": _cmd_render,
-    "verify-proof": _cmd_verify_proof,
-    "emit-central-swap": _cmd_emit_central_swap,
-    "prove-swap": _cmd_prove_swap,
-    "equal": _cmd_equal,
-}
-
-
 def _dispatch(argv: list[str], out, err) -> int:
     parser = _build_parser()
     try:
@@ -252,13 +251,7 @@ def _dispatch(argv: list[str], out, err) -> int:
         print(exc, file=err)
         return EXIT_USAGE
     try:
-        if args.command == "models":
-            handler = _cmd_models_enumerate if args.models_command == "enumerate" else _cmd_models_check
-        elif args.command == "claims":
-            handler = _cmd_claims_verify
-        else:
-            handler = _HANDLERS[args.command]
-        return handler(args, out, err)
+        return args.handler(args, out, err)
     except (ParseError, TermError, formats.CodecError, formats.RenderError,
             models.MaxOrderError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)

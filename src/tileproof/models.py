@@ -69,13 +69,16 @@ class MaxOrderError(ValueError):
 class CayleyPair:
     """A finite carrier with two multiplication tables, row-major:
     ``table_h[x][y]`` is x composed with y horizontally.  Raises
-    ``ValueError`` on a table that is not n x n or an entry outside 0..n-1."""
+    ``ValueError`` on an ``n`` that is not an ``int`` (or is a ``bool``), a
+    table that is not n x n or an entry outside 0..n-1."""
 
     n: int
     table_h: Table
     table_v: Table
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"carrier size must be an integer, not {self.n!r}")
         if self.n < 1:
             raise ValueError("carrier size must be at least 1")
         tables = (("h", self.table_h), ("v", self.table_v))

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .terms import (
-    H, Leaf, Term, TermError, V, _intern, from_grid, grid_labels, hcat, subterm_at, vcat,
+    H, Leaf, Term, TermError, V, _intern, _replace_at, from_grid, grid_labels, hcat, subterm_at,
+    vcat,
 )
 
 __all__ = [
@@ -98,20 +99,6 @@ def _trusted_move(
     _set_first(m, split_first)
     _set_second(m, split_second)
     return m
-
-
-def _replace_at(t: Term, path: Sequence[int], new: Term) -> Term:
-    """Substitute the normal-form term ``new`` at ``path`` and rebuild the
-    ancestors bottom-up.  A new child in its parent's direction, which only
-    an unwrapped pair produces, is spliced into the parent."""
-    ancestors = [t]
-    for i in path[:-1]:
-        ancestors.append(ancestors[-1].children[i])
-    for node, i in zip(reversed(ancestors), reversed(path)):
-        run, kids = type(node), node.children
-        middle = new.children if type(new) is run else (new,)
-        new = _intern(run, kids[:i] + middle + kids[i + 1 :])
-    return new
 
 
 def _checked_pieces(t: Term, m: Move) -> tuple[Term, Term, Term]:
@@ -209,24 +196,27 @@ def enumerate_moves(t: Term) -> list[Move]:
     """Every move applicable to ``t``, without duplicates, ordered by
     (path, index, split_first, split_second)."""
     out: list[Move] = []
-    if type(t) is not Leaf:
-        _enumerate_into(t, (), out)
+    stack = [((), t)] if type(t) is not Leaf else []  # runs still to visit, next on top
+    while stack:
+        path, node = stack.pop()
+        kind = ROW if type(node) is V else COL
+        # a child that is not a leaf is a run in the other direction, so each
+        # two adjacent ones are a pair that the move merges
+        runs, prev = [], None
+        for i, c in enumerate(node.children):
+            if type(c) is Leaf:
+                prev = None
+                continue
+            if prev is not None:
+                seconds = range(1, len(c.children))
+                for s1 in range(1, len(prev.children)):
+                    for s2 in seconds:
+                        out.append(_trusted_move(kind, path, i - 1, s1, s2))
+            prev = c
+            runs.append((path + (i,), c))
+        runs.reverse()
+        stack += runs
     return out
-
-
-def _enumerate_into(t: Term, path: tuple[int, ...], out: list[Move]):
-    kind, child_type = (ROW, H) if type(t) is V else (COL, V)
-    kids = t.children
-    for i in range(len(kids) - 1):
-        first, second = kids[i], kids[i + 1]
-        if type(first) is child_type and type(second) is child_type:
-            seconds = range(1, len(second.children))
-            for s1 in range(1, len(first.children)):
-                for s2 in seconds:
-                    out.append(_trusted_move(kind, path, i, s1, s2))
-    for i, c in enumerate(kids):
-        if type(c) is not Leaf:
-            _enumerate_into(c, path + (i,), out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +244,6 @@ class ProofScript:
     start: Term
     moves: tuple[Move, ...] = ()
     checkpoints: Mapping[str, int] = field(default_factory=dict)
-
-    def final(self) -> Term:
-        return replay(self)[-1]
-
-    def at_checkpoint(self, name: str) -> Term:
-        return replay(self)[self.checkpoints[name]]
 
 
 def replay(script: ProofScript) -> list[Term]:

@@ -36,7 +36,6 @@ __all__ = [
     "from_grid",
     "grid_labels",
     "leaf_multiset",
-    "leaf_count",
     "leaf_paths",
     "subterm_at",
     "swap_leaves",
@@ -164,7 +163,7 @@ class _Run(_Interned):
         return _intern(cls, children)
 
     def __repr__(self):
-        return f"{type(self).__name__}(children={self.children!r})"
+        return f"parse_term({format_term(self)!r})"
 
     def __reduce__(self):
         return type(self), (self.children,)
@@ -225,11 +224,10 @@ def vcat(parts: Iterable[Term]) -> Term:
 #   row   := IDENT+                      -- whitespace separated
 #
 # Parentheses nest at most ``_MAX_NESTING`` deep, and so do runs (a term's
-# depth counts the runs on its longest root-to-leaf path).  A parenthesis
-# costs the parser three Python frames, and the recursive walkers
-# (``format_term``, ``leaf_multiset``, ``enumerate_moves``, the search,
-# ``repr``) take at most three per run level, so every term that parses needs
-# about 300 frames, far inside the default recursion limit of 1,000.
+# depth counts the runs on its longest root-to-leaf path).  The parser is the
+# one recursive walker: a parenthesis costs it three Python frames, so the cap
+# keeps it near 300 frames, far inside the default recursion limit of 1,000.
+# Every other term operation walks an explicit stack and takes any depth.
 # ---------------------------------------------------------------------------
 
 _MAX_NESTING = 100
@@ -362,11 +360,24 @@ def format_term(t: Term) -> str:
     Children of the opposite direction are parenthesized, flattened runs are
     printed without grouping.
     """
-    if isinstance(t, Leaf):
+    if type(t) is Leaf:
         return t.label
-    return t.sep.join(
-        c.label if isinstance(c, Leaf) else f"({format_term(c)})" for c in t.children
-    )
+    out, stack = [], [(t.sep, iter(t.children))]  # open runs, their children still to print
+    while stack:
+        sep, kids = stack[-1]
+        for c in kids:
+            if out and out[-1] != "(":
+                out.append(sep)
+            if type(c) is Leaf:
+                out.append(c.label)
+            else:
+                out.append("(")
+                stack.append((c.sep, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            out.append(")")
+    return "".join(out[:-1])  # the root run is not parenthesized
 
 
 # ---------------------------------------------------------------------------
@@ -407,35 +418,26 @@ def grid_labels(border: Sequence[str], middle: Sequence[str]) -> list[list[str]]
     ]
 
 
+def _nodes(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
+    """Yield ``(path, node)`` for every node in preorder, left to right.  The
+    walk keeps its own stack, so it takes terms of any depth."""
+    stack = [((), t)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if type(node) is not Leaf:
+            kids = node.children
+            stack += [(path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1)]
+
+
 def leaf_multiset(t: Term) -> Counter:
     """Multiset of leaf labels (a ``collections.Counter``)."""
-    acc: Counter = Counter()
-    _collect_leaves(t, acc)
-    return acc
-
-
-def _collect_leaves(t: Term, acc: Counter):
-    if isinstance(t, Leaf):
-        acc[t.label] += 1
-    else:
-        for c in t.children:
-            _collect_leaves(c, acc)
-
-
-def leaf_count(t: Term) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    return Counter(label for _, label in leaf_paths(t))
 
 
 def leaf_paths(t: Term) -> Iterator[tuple[tuple[int, ...], str]]:
     """Yield ``(path, label)`` for every leaf, in left-to-right tree order."""
-    if isinstance(t, Leaf):
-        yield (), t.label
-        return
-    for i, c in enumerate(t.children):
-        for path, label in leaf_paths(c):
-            yield (i,) + path, label
+    return ((path, node.label) for path, node in _nodes(t) if type(node) is Leaf)
 
 
 def subterm_at(t: Term, path: Sequence[int]) -> Term:
@@ -448,24 +450,26 @@ def subterm_at(t: Term, path: Sequence[int]) -> Term:
     return node
 
 
+def _replace_at(t: Term, path: Sequence[int], new: Term) -> Term:
+    """Substitute the normal-form term ``new`` at ``path`` and rebuild the
+    ancestors bottom-up.  A new child in its parent's direction, which only
+    an unwrapped pair produces, is spliced into the parent."""
+    ancestors = [t]
+    for i in path[:-1]:
+        ancestors.append(ancestors[-1].children[i])
+    for node, i in zip(reversed(ancestors), reversed(path)):
+        run, kids = type(node), node.children
+        middle = new.children if type(new) is run else (new,)
+        new = _intern(run, kids[:i] + middle + kids[i + 1 :])
+    return new
+
+
 def swap_leaves(t: Term, path_1: Sequence[int], path_2: Sequence[int]) -> Term:
     """The same term with the labels at two leaf positions exchanged."""
-    p1, p2 = tuple(path_1), tuple(path_2)
-    l1, l2 = subterm_at(t, p1), subterm_at(t, p2)
+    l1, l2 = subterm_at(t, path_1), subterm_at(t, path_2)
     if not isinstance(l1, Leaf) or not isinstance(l2, Leaf):
         raise TermError("both paths must address leaves")
-
-    def rebuild(node: Term, path: tuple[int, ...]) -> Term:
-        if path == p1:
-            return Leaf(l2.label)
-        if path == p2:
-            return Leaf(l1.label)
-        if isinstance(node, Leaf):
-            return node
-        kids = tuple(rebuild(c, path + (i,)) for i, c in enumerate(node.children))
-        return type(node)(kids)
-
-    return rebuild(t, ())
+    return _replace_at(_replace_at(t, path_1, l2), path_2, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,31 +502,26 @@ def layout(t: Term) -> dict[tuple[int, ...], Rect]:
     counts, left to right; a V node divides height the same way, top to
     bottom.  This makes the tiling deterministic and degeneracy-free.
     """
+    nodes = list(_nodes(t))
+    counts: dict[Term, int] = {}  # leaf count per node; children come first
+    for _, node in reversed(nodes):
+        counts[node] = 1 if type(node) is Leaf else sum(counts[c] for c in node.children)
     out: dict[tuple[int, ...], Rect] = {}
-    _layout_into(t, (), Fraction(0), Fraction(0), Fraction(1), Fraction(1), out)
+    box = {(): (Fraction(0), Fraction(0), Fraction(1), Fraction(1))}
+    for path, node in nodes:
+        x0, y0, x1, y1 = box.pop(path)
+        if type(node) is Leaf:
+            out[path] = Rect(x0, y0, x1, y1)
+            continue
+        # cut from ``start`` towards ``end``: rightwards in an H, down in a V
+        across = type(node) is H
+        start, end = (x0, x1) if across else (y1, y0)
+        span, kids = end - start, node.children
+        for i, c in enumerate(kids):
+            cut = end if i == len(kids) - 1 else start + span * Fraction(counts[c], counts[node])
+            box[path + (i,)] = (start, y0, cut, y1) if across else (x0, cut, x1, start)
+            start = cut
     return out
-
-
-def _layout_into(t, path, x0, y0, x1, y1, out):
-    if isinstance(t, Leaf):
-        out[path] = Rect(x0, y0, x1, y1)
-        return
-    weights = [leaf_count(c) for c in t.children]
-    total = sum(weights)
-    if isinstance(t, H):
-        span = x1 - x0
-        left = x0
-        for i, (c, w) in enumerate(zip(t.children, weights)):
-            right = x1 if i == len(weights) - 1 else left + span * Fraction(w, total)
-            _layout_into(c, path + (i,), left, y0, right, y1, out)
-            left = right
-    else:
-        span = y1 - y0
-        top = y1
-        for i, (c, w) in enumerate(zip(t.children, weights)):
-            bottom = y0 if i == len(weights) - 1 else top - span * Fraction(w, total)
-            _layout_into(c, path + (i,), x0, bottom, x1, top, out)
-            top = bottom
 
 
 def border_word(t: Term) -> tuple[str, ...]:
@@ -531,7 +530,7 @@ def border_word(t: Term) -> tuple[str, ...]:
     corner.  Each border leaf appears exactly once.
     """
     rects = layout(t)
-    labels = {path: label for path, label in leaf_paths(t)}
+    labels = dict(leaf_paths(t))
 
     bottom = sorted((p for p, r in rects.items() if r.y0 == 0), key=lambda p: rects[p].x0)
     right = sorted((p for p, r in rects.items() if r.x1 == 1), key=lambda p: rects[p].y0)

@@ -82,7 +82,8 @@ def test_every_trajectory_term_lays_out_and_renders(trajectory):
 def test_custom_labels_are_positional():
     border = [f"B{k}" for k in range(12)]
     script = central_swap_script(border, "p", "q", "r", "s")
-    assert script.final() == from_grid(grid_labels(border, ("q", "p", "r", "s")))
-    assert script.at_checkpoint(CENTRAL_SWAP_CHECKPOINT) == from_grid(
+    trajectory = replay(script)
+    assert trajectory[-1] == from_grid(grid_labels(border, ("q", "p", "r", "s")))
+    assert trajectory[script.checkpoints[CENTRAL_SWAP_CHECKPOINT]] == from_grid(
         grid_labels(border, ("q", "s", "p", "r"))
     )

@@ -71,6 +71,13 @@ class TestCheckAxioms:
         with pytest.raises(ValueError):
             check_axioms(CayleyPair(2, ((0, 2), (0, 0)), ((0, 0), (0, 0))))
 
+    def test_non_integer_order_rejected(self):
+        xor = ((0, 1), (1, 0))
+        with pytest.raises(ValueError, match="integer"):
+            CayleyPair(2.0, xor, xor)
+        with pytest.raises(ValueError, match="integer"):
+            CayleyPair(True, ((0,),), ((0,),))
+
     def test_agrees_with_naive_oracle_on_random_tables(self):
         rng = random.Random(99)
         for _ in range(1000):

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from tileproof.terms import (
     hcat,
     layout,
     leaf_multiset,
+    leaf_paths,
     parse_term,
     same_cyclic_word,
     subterm_at,
@@ -29,7 +31,8 @@ from tileproof.terms import (
     vcat,
 )
 from tileproof.decision import move_closure
-from tileproof.moves import apply_move, enumerate_moves
+from tileproof.formats import RenderOptions, render_svg
+from tileproof.moves import ROW, Move, apply_move, enumerate_moves
 from conftest import random_term
 
 
@@ -218,6 +221,32 @@ class TestInterning:
         assert t1 == t2 and hash(t1) == hash(t2) and t1 != u
         assert len({t1, t2, u}) == 2
         assert t1 is t2
+
+    def test_every_walker_takes_a_2000_level_term(self):
+        levels = 2000
+        term, text = t("(a|b)/(c|d)"), "(a|b)/(c|d)"
+        for k in range(levels):
+            term = (hcat, vcat)[k % 2]([term, Leaf(f"x{k}")])
+            text = f"({text}){'|/'[k % 2]}x{k}"
+        xs = [f"x{k}" for k in range(levels)]
+        a_path = (0,) * levels + (0, 0)
+
+        assert format_term(term) == text
+        assert repr(term) == f"parse_term({text!r})"
+        assert leaf_multiset(term) == Counter("abcd") + Counter(xs)
+        paths = list(leaf_paths(term))
+        assert len(paths) == levels + 4
+        assert paths[0] == (a_path, "a") and paths[-1] == ((1,), "x1999")
+        rects = layout(term)
+        assert list(rects) == [p for p, _ in paths]
+        assert rects[(1,)] == Rect(Fraction(0), Fraction(0), Fraction(1), Fraction(1, levels + 4))
+        # every x hugs the right or bottom edge of its level; the core sits top left
+        assert border_word(term) == ("x1999", *xs[-2::-2], "b", "a", "c", *xs[1:-1:2])
+        assert enumerate_moves(term) == [Move(ROW, (0,) * levels, 0, 1, 1)]
+        swapped = swap_leaves(term, a_path, (1,))
+        assert dict(leaf_paths(swapped)) == {**dict(paths), a_path: "x1999", (1,): "a"}
+        assert swap_leaves(swapped, a_path, (1,)) is term
+        assert render_svg(term, RenderOptions(640, 640)).count(b"<rect ") == levels + 4
 
 
 class TestLeafOps:
