@@ -9,11 +9,12 @@ ends at once and stitches an explicit proof script when the frontiers meet.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterator, Optional, Sequence, Union
 
 from .moves import Move, ProofScript, apply_move, enumerate_moves, invert_move
-from .terms import Term, leaf_multiset, swap_leaves
+from .terms import Term, leaf_multiset, leaf_paths, swap_leaves
 
 __all__ = [
     "Equal",
@@ -62,6 +63,21 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     a bidirectional breadth-first search expands the smaller frontier first
     (alternating on ties); ``budget`` caps the number of distinct terms
     visited across both sides.  Deterministic for fixed inputs and budget.
+
+    An Equal script is a shortest one.  Each side's layer ``i`` holds exactly
+    the terms at distance ``i`` from its root, and every new term is checked
+    against everything the other side has seen, so the two seen sets are
+    disjoint until the meet.  Say the meet term is found at depth ``i`` of
+    one side while the other side has finished its layers up to depth ``J``
+    and holds it at depth ``j <= J``.  The layers up to ``i - 1`` on one
+    side and ``J`` on the other did not touch, so no script is shorter than
+    ``i + J`` moves, and this one has ``i + j``.
+
+    When ``t2`` is ``t1`` with its labels renamed one-to-one, as in every
+    swap query, moves see only shapes, so side b's search is the renaming of
+    side a's: the same moves in the same order.  Side b then builds each
+    layer from side a's recorded parents and moves (``_mirror``) instead of
+    enumerating moves again; the verdict is the same either way.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -80,6 +96,10 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     if explored > budget:
         return Unknown(explored=explored, budget=budget)
 
+    # Side a's layers that side b has not mirrored yet, from side b's current
+    # one.  Side b never gets ahead: at equal depths the frontiers are equal
+    # in size, and side b has just moved, so the tie goes to side a.
+    unmirrored = deque([frontier_a]) if _relabels(t1, t2) else None
     last_side = "b"  # so the first tie expands side a
     while True:
         if len(frontier_a) != len(frontier_b):
@@ -93,7 +113,14 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
         if not frontier:
             return Distinct(closure_size=len(seen))
         next_frontier: list[Term] = []
-        for t, m, u in _expand(frontier, seen):
+        if unmirrored is None:
+            layer = _expand(frontier, seen)
+        elif side == "a":
+            layer = _expand(frontier, seen)
+            unmirrored.append(next_frontier)
+        else:
+            layer = _mirror(unmirrored.popleft(), unmirrored[0], frontier, seen_a)
+        for t, m, u in layer:
             explored += 1
             if explored > budget:
                 return Unknown(explored=explored - 1, budget=budget)
@@ -117,6 +144,35 @@ def _expand(frontier: list[Term], seen: Collection[Term]) -> Iterator[tuple[Term
             u = apply_move(t, m)
             if u not in seen:
                 yield t, m, u
+
+
+def _relabels(t1: Term, t2: Term) -> bool:
+    """Whether ``t2`` is ``t1`` with its labels renamed one-to-one.  The leaf
+    paths and the root's direction fix the shape of a flattened term."""
+    if type(t1) is not type(t2):
+        return False
+    renaming: dict[str, str] = {}
+    for (p1, a), (p2, b) in zip(leaf_paths(t1), leaf_paths(t2)):
+        if p1 != p2 or renaming.setdefault(a, b) != b:
+            return False
+    return len(set(renaming.values())) == len(renaming)
+
+
+def _mirror(
+    a_layer: list[Term],
+    a_next: list[Term],
+    b_layer: list[Term],
+    seen_a: dict[Term, Optional[tuple[Term, Move]]],
+) -> Iterator[tuple[Term, Move, Term]]:
+    """Side b's next layer when ``t2`` renames ``t1``: ``b_layer`` renames
+    ``a_layer`` term by term, so each new term of side a's next layer, built
+    by ``m`` from ``t``, has its renaming built by ``m`` from ``t``'s.  Yields
+    what ``_expand(b_layer, seen_b)`` would, in the same order."""
+    renamed = dict(zip(a_layer, b_layer))
+    for u in a_next:
+        t, m = seen_a[u]
+        s = renamed[t]
+        yield s, m, apply_move(s, m)
 
 
 def _stitch(t1, meet, seen_a, seen_b) -> ProofScript:

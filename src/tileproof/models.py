@@ -70,7 +70,8 @@ class CayleyPair:
     """A finite carrier with two multiplication tables, row-major:
     ``table_h[x][y]`` is x composed with y horizontally.  Raises
     ``ValueError`` on an ``n`` that is not an ``int`` (or is a ``bool``), a
-    table that is not n x n or an entry outside 0..n-1."""
+    table that is not n x n or an entry that is not an ``int`` (or is a
+    ``bool``) in 0..n-1."""
 
     n: int
     table_h: Table
@@ -88,7 +89,7 @@ class CayleyPair:
         for name, tab in tables:
             for x, row in enumerate(tab):
                 for y, e in enumerate(row):
-                    if not isinstance(e, int) or not 0 <= e < self.n:
+                    if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < self.n:
                         raise ValueError(f"table_{name}[{x}][{y}] = {e!r} out of range 0..{self.n - 1}")
             object.__setattr__(self, f"table_{name}", tuple(map(tuple, tab)))
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tileproof import decision
 from tileproof.decision import (
     Distinct,
     Equal,
@@ -11,7 +12,15 @@ from tileproof.decision import (
     move_closure,
 )
 from tileproof.moves import apply_move, enumerate_moves, replay
-from tileproof.terms import TermError, from_grid, grid_labels, leaf_multiset, parse_term
+from tileproof.terms import (
+    Leaf,
+    TermError,
+    from_grid,
+    grid_labels,
+    leaf_multiset,
+    parse_term,
+    swap_leaves,
+)
 from conftest import random_term
 from oracles import UnionFind, all_terms_with_leaves, matcher_neighbors
 
@@ -21,6 +30,13 @@ def t(text):
 
 
 BORDER = tuple(f"e{k}" for k in range(1, 13))
+GRID_3X3 = "[a b c; d e f; g h i]"
+
+
+def relabel(term, renaming):
+    if type(term) is Leaf:
+        return Leaf(renaming[term.label])
+    return type(term)(relabel(c, renaming) for c in term.children)
 
 
 class TestVerdicts:
@@ -159,3 +175,60 @@ class TestFindSwapProof:
         term = t("(a|b)/(c|d)")
         script = find_swap_proof(term, (0, 0), (0, 0), 10)
         assert script is not None and replay(script)[-1] == term
+
+
+class TestShortestScripts:
+    def test_script_length_is_the_distance_on_the_3x3_closure(self):
+        # distances by breadth-first search over the raw matcher
+        start = t(GRID_3X3)
+        distance = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for u in matcher_neighbors(s):
+                    if u not in distance:
+                        distance[u] = distance[s] + 1
+                        nxt.append(u)
+            frontier = nxt
+        assert len(distance) == 118
+        for target, d in distance.items():
+            verdict = equal_exhaustive(start, target, 1_000)
+            assert isinstance(verdict, Equal)
+            assert len(verdict.script.moves) == d
+
+
+class TestMirroredSearch:
+    """When t2 renames t1's labels one-to-one, side b is built from side a's
+    moves; the verdicts must be those of the search that enumerates both."""
+
+    def test_same_verdicts_as_the_unmirrored_search(self, rng, monkeypatch):
+        cases = []
+        grid = from_grid([[f"x{r}{c}" for c in range(4)] for r in range(3)])
+        swapped = swap_leaves(grid, (1, 1), (1, 2))
+        cases += [(grid, swapped, budget) for budget in range(1, 61)]
+        for _ in range(60):
+            t1 = random_term(rng, max_leaves=8, min_leaves=2)
+            labels = sorted(leaf_multiset(t1))
+            image = labels[:]
+            rng.shuffle(image)
+            t2 = relabel(t1, dict(zip(labels, image)))
+            cases.append((t1, t2, rng.choice([3, 30, 300, 100_000])))
+        mirrored = [equal_exhaustive(*case) for case in cases]
+        monkeypatch.setattr(decision, "_relabels", lambda t1, t2: False)
+        assert mirrored == [equal_exhaustive(*case) for case in cases]
+
+    def test_relabeling_detection(self):
+        assert decision._relabels(t("(a|b)/(a|c)"), t("(c|a)/(c|b)"))
+        assert not decision._relabels(t("(a|b)/(a|c)"), t("(a|b)/(c|a)"))  # a -> a and a -> c
+        assert not decision._relabels(t("(a|b)/(c|d)"), t("(a/c)|(b/d)"))  # other shape
+        assert not decision._relabels(t("a|b"), t("c|c"))  # not one-to-one
+
+    def test_side_b_enumerates_no_moves(self, monkeypatch):
+        calls = []
+        real = decision.enumerate_moves
+        monkeypatch.setattr(decision, "enumerate_moves", lambda term: calls.append(term) or real(term))
+        start = t(GRID_3X3)
+        verdict = equal_exhaustive(start, swap_leaves(start, (0, 0), (0, 2)), 10_000)
+        assert verdict == Distinct(closure_size=118)
+        assert len(calls) == 118

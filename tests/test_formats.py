@@ -14,7 +14,7 @@ from tileproof.formats import (
     render_ascii,
     render_svg,
 )
-from tileproof.models import CayleyPair, k_combinator, xor_pair
+from tileproof.models import CayleyPair, enumerate_models, k_combinator, xor_pair
 from tileproof.moves import Move, ProofScript, central_swap_script
 from tileproof.terms import Leaf, parse_term
 from conftest import random_term
@@ -96,10 +96,17 @@ class TestScriptCodec:
 
 class TestModelCodec:
     def test_round_trips(self):
-        for m in (k_combinator(), xor_pair(), CayleyPair(3, ((0,) * 3,) * 3, ((0,) * 3,) * 3)):
+        zero = CayleyPair(3, ((0,) * 3,) * 3, ((0,) * 3,) * 3)
+        for m in (k_combinator(), xor_pair(), zero, *enumerate_models(2)):
             data = encode_model(m)
             assert decode_model(data) == m
             assert encode_model(decode_model(data)) == data
+
+    def test_bool_entries_refused_before_they_reach_the_codec(self):
+        # True == 1, so this would equal xor_pair(), but its encoding would
+        # hold JSON booleans that decode_model rejects
+        with pytest.raises(ValueError, match="table_h"):
+            CayleyPair(2, ((False, True), (True, False)), ((0, 1), (1, 0)))
 
     def test_zero_carrier_rejected(self):
         with pytest.raises(CodecError):
