@@ -18,8 +18,8 @@ import json
 import sys
 
 from . import decision, formats, models
-from .moves import ProofScript, ReplayError, central_swap_script, replay
-from .terms import ParseError, TermError, format_term, parse_term, swap_leaves
+from .moves import ReplayError, central_swap_script, replay
+from .terms import TermError, format_term, parse_term, swap_leaves
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_NEGATIVE", "EXIT_USAGE", "EXIT_BUDGET"]
 
@@ -183,11 +183,7 @@ def _cmd_emit_central_swap(args, out, err) -> int:
 def _cmd_prove_swap(args, out, err) -> int:
     t = parse_term(args.term)
     p1, p2 = _parse_cli_path(args.path1), _parse_cli_path(args.path2)
-    swapped = swap_leaves(t, p1, p2)
-    if swapped == t:
-        verdict = decision.Equal(ProofScript(start=t))
-    else:
-        verdict = decision.equal_exhaustive(t, swapped, args.budget)
+    verdict = decision.equal_exhaustive(t, swap_leaves(t, p1, p2), args.budget)
     if isinstance(verdict, decision.Equal):
         out.flush()
         out.buffer.write(formats.encode_script(verdict.script))
@@ -252,8 +248,7 @@ def _dispatch(argv: list[str], out, err) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args, out, err)
-    except (ParseError, TermError, formats.CodecError, formats.RenderError,
-            models.MaxOrderError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every input error of the library is a ValueError
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

@@ -182,22 +182,18 @@ def _stitch(t1, meet, seen_a, seen_b) -> ProofScript:
     chain is walked from the meeting point back to t2 by inverting each
     recorded move.
     """
-    forward: list[Move] = []
-    cur = meet
-    while seen_a[cur] is not None:
-        parent, m = seen_a[cur]
-        forward.append(m)
-        cur = parent
+    forward = [m for _, m in _chain(seen_a, meet)]
     forward.reverse()
-
-    backward: list[Move] = []
-    cur = meet
-    while seen_b[cur] is not None:
-        parent, m = seen_b[cur]
-        backward.append(invert_move(parent, m))
-        cur = parent
-
+    backward = [invert_move(parent, m) for parent, m in _chain(seen_b, meet)]
     return ProofScript(start=t1, moves=tuple(forward + backward))
+
+
+def _chain(seen, u) -> Iterator[tuple[Term, Move]]:
+    """Yield the recorded ``(parent, move)`` edges from ``u`` back to the
+    root of its side."""
+    while (edge := seen[u]) is not None:
+        yield edge
+        u = edge[0]
 
 
 def move_closure(t: Term, budget: Optional[int] = None) -> frozenset[Term]:
@@ -231,12 +227,10 @@ def find_swap_proof(
     Both paths must address leaves.  Returns the script on an Equal verdict
     and ``None`` otherwise; callers that need to distinguish Distinct from
     Unknown can run ``equal_exhaustive(t, swap_leaves(t, p1, p2), budget)``
-    themselves.
+    themselves, which is all this does.  So ``budget`` must be at least 1,
+    even when the swap leaves ``t`` as it is.
     """
-    swapped = swap_leaves(t, leaf_path_1, leaf_path_2)
-    if swapped == t:
-        return ProofScript(start=t)
-    verdict = equal_exhaustive(t, swapped, budget)
+    verdict = equal_exhaustive(t, swap_leaves(t, leaf_path_1, leaf_path_2), budget)
     if isinstance(verdict, Equal):
         return verdict.script
     return None

@@ -9,6 +9,7 @@ replayed from a start term, optionally with named checkpoints.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -60,45 +61,30 @@ class BadSplit(MoveError):
     """A split position is outside ``1 .. arity-1`` of its child."""
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(namedtuple("Move", "kind path index split_first split_second")):
     """One located interchange application.
 
     ``path`` addresses the ambient node (child indices from the root, 0-based
     in memory); ``index`` is the first of the two adjacent children involved;
     ``split_first``/``split_second`` count how many grandchildren of each
     child go to the left (for ``row``) or top (for ``col``) part.
+
+    A named tuple: immutable, iterable, and equal to a plain tuple with the
+    same values.  Building one checks the kind; ``enumerate_moves``, whose
+    kinds are right by construction, builds its moves with ``tuple.__new__``.
     """
 
-    kind: str
-    path: tuple[int, ...]
-    index: int
-    split_first: int
-    split_second: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (ROW, COL):
-            raise MoveError(f"unknown move kind {self.kind!r}")
+    def __new__(
+        cls, kind: str, path: tuple[int, ...], index: int, split_first: int, split_second: int
+    ):
+        if kind not in (ROW, COL):
+            raise MoveError(f"unknown move kind {kind!r}")
+        return tuple.__new__(cls, (kind, path, index, split_first, split_second))
 
-
-# Trusted construction for moves that ``enumerate_moves`` makes: the kind is
-# ``ROW`` or ``COL`` by construction, so the slot descriptors fill the fields
-# without the dataclass ``__init__`` and its ``__post_init__`` check.
-_new_move = object.__new__
-_move_slots = (Move.kind, Move.path, Move.index, Move.split_first, Move.split_second)
-_set_kind, _set_path, _set_index, _set_first, _set_second = (d.__set__ for d in _move_slots)
-
-
-def _trusted_move(
-    kind: str, path: tuple[int, ...], index: int, split_first: int, split_second: int
-) -> Move:
-    m = _new_move(Move)
-    _set_kind(m, kind)
-    _set_path(m, path)
-    _set_index(m, index)
-    _set_first(m, split_first)
-    _set_second(m, split_second)
-    return m
+    # ``_replace`` builds through ``_make``, which would skip the check
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _checked_pieces(t: Term, m: Move) -> tuple[Term, Term, Term]:
@@ -211,7 +197,7 @@ def enumerate_moves(t: Term) -> list[Move]:
                 seconds = range(1, len(c.children))
                 for s1 in range(1, len(prev.children)):
                     for s2 in seconds:
-                        out.append(_trusted_move(kind, path, i - 1, s1, s2))
+                        out.append(tuple.__new__(Move, (kind, path, i - 1, s1, s2)))
             prev = c
             runs.append((path + (i,), c))
         runs.reverse()
@@ -348,5 +334,5 @@ def central_swap_script(border: Sequence[str], a: str, b: str, c: str, d: str) -
     halfway.  Labels may repeat; the moves are positional.
     """
     start = from_grid(grid_labels(border, (a, b, c, d)))
-    moves = tuple(Move(k, p, i, s1, s2) for (k, p, i, s1, s2) in _CENTRAL_SWAP_MOVES)
+    moves = tuple(Move(*row) for row in _CENTRAL_SWAP_MOVES)
     return ProofScript(start=start, moves=moves, checkpoints=dict(_CENTRAL_SWAP_CHECKPOINTS))

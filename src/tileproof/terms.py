@@ -528,6 +528,21 @@ def border_word(t: Term) -> tuple[str, ...]:
     """Labels of the leaves touching the unit-square boundary, read
     counter-clockwise starting from the leaf that contains the bottom-left
     corner.  Each border leaf appears exactly once.
+
+    Moves keep the word, leaf for leaf and not only up to rotation.  Call
+    top(t) and bottom(t) the leaves along those sides from left to right, and
+    left(t) and right(t) the leaves along those sides from top to bottom.
+    ``layout`` gives each child of an H node the node's full height and each
+    child of a V node its full width.  So the words of ``H(c1, ..., ck)`` are
+    top = top(c1)···top(ck), bottom = bottom(c1)···bottom(ck), left =
+    left(c1) and right = right(ck), dually for V, and a leaf is its own four
+    words.  The word read here is bottom, then right and top reversed, then
+    left, keeping each leaf at its first appearance, so it depends only on
+    the four words.  An interchange keeps them: ``(x|y)/(z|w)`` and
+    ``(x/z)|(y/w)`` both have top = top(x)·top(y), bottom =
+    bottom(z)·bottom(w), left = left(x)·left(z) and right = right(y)·right(w).
+    A node's words depend only on its children's, and flattening only
+    regroups concatenations, so the root keeps its four words too.
     """
     rects = layout(t)
     labels = dict(leaf_paths(t))

@@ -7,7 +7,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tileproof.terms import H, Leaf, Term, V
+from tileproof.terms import H, Leaf, Term, V, format_term, from_grid
+from oracles import matcher_distances
 
 # default is quick; soak for occasional deep runs: pytest --hypothesis-profile=soak
 settings.register_profile("default", max_examples=250, deadline=None)
@@ -40,3 +41,18 @@ def random_term(rng: random.Random, max_leaves: int, min_leaves: int = 1) -> Ter
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="session")
+def grid_3x4_sample():
+    """The 3x4 grid ``[a b c d; e f g h; i j k l]``, and 100 states of its
+    closure mapped to their distance from it: the first state at the largest
+    distance, 17, and 99 more drawn with a fixed seed."""
+    start = from_grid([list("abcd"), list("efgh"), list("ijkl")])
+    distance = matcher_distances(start)
+    assert len(distance) == 8258 and max(distance.values()) == 17
+    states = sorted(distance, key=format_term)  # set order follows the hash seed
+    far = next(s for s in states if distance[s] == 17)
+    states.remove(far)
+    sample = [far] + random.Random(3412).sample(states, 99)
+    return start, {s: distance[s] for s in sample}

@@ -82,6 +82,22 @@ def matcher_neighbors(t: Term) -> set[Term]:
     return results
 
 
+def matcher_distances(start: Term) -> dict[Term, int]:
+    """Distance from ``start`` to every term of its closure, by breadth-first
+    search over ``matcher_neighbors``."""
+    distance = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for u in matcher_neighbors(s):
+                if u not in distance:
+                    distance[u] = distance[s] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return distance
+
+
 def all_terms_with_leaves(labels: tuple[str, ...]) -> set[Term]:
     """Every flattened term whose leaf sequence is a permutation of ``labels``."""
 

@@ -203,6 +203,11 @@ class TestDecisionCommands:
         code, out, err = run(["prove-swap", "(a|b)/(c|d)", "1", "2,1", "--budget", "100"])
         assert code == EXIT_USAGE
 
+    def test_budget_zero_is_a_usage_error_even_for_a_trivial_swap(self):
+        for argv in (["prove-swap", "(a|a)/(c|d)", "1,1", "1,2", "--budget", "0"],
+                     ["equal", "a", "a", "--budget", "0"]):
+            assert run(argv) == (EXIT_USAGE, b"", b"error: budget must be at least 1\n")
+
 
 class TestModelCommands:
     def test_enumerate_stream(self):

@@ -22,7 +22,7 @@ from tileproof.terms import (
     swap_leaves,
 )
 from conftest import random_term
-from oracles import UnionFind, all_terms_with_leaves, matcher_neighbors
+from oracles import UnionFind, all_terms_with_leaves, matcher_distances, matcher_neighbors
 
 
 def t(text):
@@ -176,26 +176,29 @@ class TestFindSwapProof:
         script = find_swap_proof(term, (0, 0), (0, 0), 10)
         assert script is not None and replay(script)[-1] == term
 
+    def test_budget_zero_is_refused_even_for_a_trivial_swap(self):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 0), 0)
+
 
 class TestShortestScripts:
     def test_script_length_is_the_distance_on_the_3x3_closure(self):
-        # distances by breadth-first search over the raw matcher
         start = t(GRID_3X3)
-        distance = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for u in matcher_neighbors(s):
-                    if u not in distance:
-                        distance[u] = distance[s] + 1
-                        nxt.append(u)
-            frontier = nxt
+        distance = matcher_distances(start)
         assert len(distance) == 118
         for target, d in distance.items():
             verdict = equal_exhaustive(start, target, 1_000)
             assert isinstance(verdict, Equal)
             assert len(verdict.script.moves) == d
+
+    def test_script_length_is_the_distance_on_a_3x4_sample(self, grid_3x4_sample):
+        start, distance = grid_3x4_sample
+        assert len(distance) == 100 and max(distance.values()) == 17
+        for target, d in distance.items():
+            verdict = equal_exhaustive(start, target, 100_000)
+            assert isinstance(verdict, Equal)
+            assert len(verdict.script.moves) == d
+            assert replay(verdict.script)[-1] is target
 
 
 class TestMirroredSearch:

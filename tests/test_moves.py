@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -175,6 +176,24 @@ class TestBorderInvariant:
                 assert all_on_border(stepped)
                 assert same_cyclic_word(border_word(stepped), reference)
 
+    def test_border_word_is_identical_over_the_3x3_closure(self):
+        start = t("[a b c; d e f; g h i]")
+        closure = bfs_closure(start)
+        assert len(closure) == 118
+        assert {border_word(s) for s in closure} == {tuple("ghifcbad")}
+
+    def test_border_word_is_identical_on_a_3x4_sample(self, grid_3x4_sample):
+        start, distance = grid_3x4_sample
+        assert border_word(start) == tuple("ijklhdcbae")
+        assert all(border_word(s) == border_word(start) for s in distance)
+
+    def test_moves_keep_the_border_word_with_repeated_labels(self, rng):
+        for _ in range(150):
+            term = random_term(rng, max_leaves=8, min_leaves=4)
+            reference = border_word(term)
+            for m in enumerate_moves(term):
+                assert border_word(apply_move(term, m)) == reference
+
 
 class TestReplay:
     def test_empty_script(self):
@@ -250,10 +269,25 @@ class TestTrustedKernel:
                 assert type(m) is Move
                 assert m == checked
                 assert hash(m) == hash(checked)
+                assert repr(m) == repr(checked)
+                back = pickle.loads(pickle.dumps(m))
+                assert type(back) is Move and back == m
+        assert repr(Move(ROW, (1,), 0, 2, 1)) == (
+            "Move(kind='row', path=(1,), index=0, split_first=2, split_second=1)"
+        )
+
+    def test_moves_are_read_only(self):
+        m = Move(ROW, (), 0, 1, 1)
+        with pytest.raises(AttributeError):
+            m.kind = COL
+        with pytest.raises(AttributeError):
+            m.note = "extra"
 
     def test_unknown_kind_still_raises(self):
         with pytest.raises(MoveError):
             Move("diag", (), 0, 1, 1)
+        with pytest.raises(MoveError):
+            Move(ROW, (), 0, 1, 1)._replace(kind="diag")
 
     def test_apply_at_depth_2000_does_not_recurse(self):
         def wrapped(core, levels):
