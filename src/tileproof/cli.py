@@ -19,7 +19,7 @@ import sys
 
 from . import decision, formats, models
 from .moves import ReplayError, central_swap_script, replay
-from .terms import TermError, format_term, parse_term, swap_leaves
+from .terms import TermError, format_term, parse_term, subterm_at, swap_leaves
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_NEGATIVE", "EXIT_USAGE", "EXIT_BUDGET"]
 
@@ -109,7 +109,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_cli_path(text: str) -> tuple[int, ...]:
+def _parse_cli_path(t, text: str) -> tuple[int, ...]:
+    """A path argument of ``t``: 1-based child indices, '.' for the root.
+    Errors name the path as typed, not in the library's 0-based form."""
     text = text.strip()
     if text in ("", "."):
         return ()
@@ -122,6 +124,10 @@ def _parse_cli_path(text: str) -> tuple[int, ...]:
         if k < 1:
             raise TermError("path components are 1-based")
         out.append(k - 1)
+    try:
+        subterm_at(t, out)
+    except TermError:
+        raise TermError(f"path {text} does not address a subterm") from None
     return tuple(out)
 
 
@@ -182,7 +188,7 @@ def _cmd_emit_central_swap(args, out, err) -> int:
 
 def _cmd_prove_swap(args, out, err) -> int:
     t = parse_term(args.term)
-    p1, p2 = _parse_cli_path(args.path1), _parse_cli_path(args.path2)
+    p1, p2 = _parse_cli_path(t, args.path1), _parse_cli_path(t, args.path2)
     verdict = decision.equal_exhaustive(t, swap_leaves(t, p1, p2), args.budget)
     if isinstance(verdict, decision.Equal):
         out.flush()

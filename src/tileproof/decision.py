@@ -60,9 +60,10 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     """Decide whether two terms are move-equivalent, with a state budget.
 
     Terms with different leaf multisets are Distinct immediately.  Otherwise
-    a bidirectional breadth-first search expands the smaller frontier first
-    (alternating on ties); ``budget`` caps the number of distinct terms
-    visited across both sides.  Deterministic for fixed inputs and budget.
+    a bidirectional breadth-first search, side a from ``t1`` and side b from
+    ``t2``, expands the smaller frontier first (alternating on ties, side a
+    first); ``budget`` caps the number of distinct terms visited across both
+    sides.  Deterministic for fixed inputs and budget.
 
     An Equal script is a shortest one.  Each side's layer ``i`` holds exactly
     the terms at distance ``i`` from its root, and every new term is checked
@@ -86,52 +87,41 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     if leaf_multiset(t1) != leaf_multiset(t2):
         return Distinct(closure_size=0)
 
-    # parent maps: term -> (predecessor, move applied at the predecessor)
-    seen_a: dict[Term, Optional[tuple[Term, Move]]] = {t1: None}
-    seen_b: dict[Term, Optional[tuple[Term, Move]]] = {t2: None}
-    frontier_a: list[Term] = [t1]
-    frontier_b: list[Term] = [t2]
-
+    # Parent maps, indexed by side: 0 is side a, from t1; 1 is side b, from
+    # t2.  Each maps term -> (predecessor, move applied at the predecessor).
+    seen: tuple[dict[Term, Optional[tuple[Term, Move]]], ...] = ({t1: None}, {t2: None})
+    frontiers = [[t1], [t2]]
     explored = 2
-    if explored > budget:
+    if budget < explored:
         return Unknown(explored=explored, budget=budget)
 
     # Side a's layers that side b has not mirrored yet, from side b's current
     # one.  Side b never gets ahead: at equal depths the frontiers are equal
     # in size, and side b has just moved, so the tie goes to side a.
-    unmirrored = deque([frontier_a]) if _relabels(t1, t2) else None
-    last_side = "b"  # so the first tie expands side a
+    unmirrored = deque([frontiers[0]]) if _relabels(t1, t2) else None
+    side = 1  # so the first tie expands side a
     while True:
-        if len(frontier_a) != len(frontier_b):
-            side = "a" if len(frontier_a) < len(frontier_b) else "b"
-        else:
-            side = "a" if last_side == "b" else "b"
-        last_side = side
-        frontier, seen, other = (
-            (frontier_a, seen_a, seen_b) if side == "a" else (frontier_b, seen_b, seen_a)
-        )
+        len_a, len_b = map(len, frontiers)
+        side = 1 - side if len_a == len_b else int(len_b < len_a)
+        frontier, own, other = frontiers[side], seen[side], seen[1 - side]
         if not frontier:
-            return Distinct(closure_size=len(seen))
+            return Distinct(closure_size=len(own))
         next_frontier: list[Term] = []
-        if unmirrored is None:
-            layer = _expand(frontier, seen)
-        elif side == "a":
-            layer = _expand(frontier, seen)
-            unmirrored.append(next_frontier)
+        if unmirrored is not None and side == 1:
+            layer = _mirror(unmirrored.popleft(), unmirrored[0], frontier, seen[0])
         else:
-            layer = _mirror(unmirrored.popleft(), unmirrored[0], frontier, seen_a)
+            layer = _expand(frontier, own)
+            if unmirrored is not None:
+                unmirrored.append(next_frontier)
         for t, m, u in layer:
+            if explored == budget:
+                return Unknown(explored=explored, budget=budget)
             explored += 1
-            if explored > budget:
-                return Unknown(explored=explored - 1, budget=budget)
-            seen[u] = (t, m)
+            own[u] = (t, m)
             next_frontier.append(u)
             if u in other:
-                return Equal(_stitch(t1, u, seen_a, seen_b))
-        if side == "a":
-            frontier_a = next_frontier
-        else:
-            frontier_b = next_frontier
+                return Equal(_stitch(t1, u, seen))
+        frontiers[side] = next_frontier
 
 
 def _expand(frontier: list[Term], seen: Collection[Term]) -> Iterator[tuple[Term, Move, Term]]:
@@ -175,16 +165,16 @@ def _mirror(
         yield s, m, apply_move(s, m)
 
 
-def _stitch(t1, meet, seen_a, seen_b) -> ProofScript:
+def _stitch(t1, meet, seen) -> ProofScript:
     """Assemble the t1 -> t2 script through the meeting term.
 
-    Forward edges come straight from the t1-side parent chain; the t2-side
-    chain is walked from the meeting point back to t2 by inverting each
-    recorded move.
+    Forward edges come straight from side a's parent chain; side b's chain
+    is walked from the meeting point back to t2 by inverting each recorded
+    move.
     """
-    forward = [m for _, m in _chain(seen_a, meet)]
+    forward = [m for _, m in _chain(seen[0], meet)]
     forward.reverse()
-    backward = [invert_move(parent, m) for parent, m in _chain(seen_b, meet)]
+    backward = [invert_move(parent, m) for parent, m in _chain(seen[1], meet)]
     return ProofScript(start=t1, moves=tuple(forward + backward))
 
 
@@ -200,7 +190,8 @@ def move_closure(t: Term, budget: Optional[int] = None) -> frozenset[Term]:
     """The full set of terms reachable from ``t`` by moves.
 
     This is the engine behind Distinct verdicts, exposed on its own because
-    closures of small terms are useful objects in tests and at the CLI.
+    closures of small terms are useful objects in tests and to library
+    callers.
     Raises ``ValueError`` if a budget is given and exceeded.
     """
     seen = {t}

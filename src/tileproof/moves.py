@@ -70,8 +70,9 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
     child go to the left (for ``row``) or top (for ``col``) part.
 
     A named tuple: immutable, iterable, and equal to a plain tuple with the
-    same values.  Building one checks the kind; ``enumerate_moves``, whose
-    kinds are right by construction, builds its moves with ``tuple.__new__``.
+    same values.  Building one checks the kind and that the path is a tuple
+    of ints and the index and splits are ints; ``enumerate_moves``, whose
+    fields are right by construction, builds its moves with ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -81,6 +82,13 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
     ):
         if kind not in (ROW, COL):
             raise MoveError(f"unknown move kind {kind!r}")
+        # ``type(...) is int`` refuses ``bool``, which would apply as 0 or 1
+        if type(path) is not tuple or [k for k in path if type(k) is not int]:
+            raise MoveError(f"move path must be a tuple of ints, not {path!r}")
+        if not type(index) is type(split_first) is type(split_second) is int:
+            raise MoveError(
+                f"move index and splits must be ints, not {(index, split_first, split_second)!r}"
+            )
         return tuple.__new__(cls, (kind, path, index, split_first, split_second))
 
     # ``_replace`` builds through ``_make``, which would skip the check

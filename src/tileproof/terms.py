@@ -156,6 +156,9 @@ class _Run(_Interned):
 
     def __new__(cls, children: Iterable[Term]) -> _Run:
         children = tuple(children)
+        for c in children:
+            if not isinstance(c, _Interned):
+                raise TermError(f"{cls.noun} node's children must be terms, not {c!r}")
         if len(children) < 2:
             raise TermError(f"{cls.noun} node needs at least two children")
         if cls in map(type, children):

@@ -93,6 +93,11 @@ class TestRenderCommand:
         code, out, err = run(["render", "[a b; c d]", "--width", "4", "--height", "4"])
         assert code == EXIT_USAGE
 
+    def test_canvas_below_3x3(self):
+        assert run(["render", "a", "--width", "2"]) == (
+            EXIT_USAGE, b"", b"error: canvas must be at least 3x3 characters\n"
+        )
+
     def test_zero_dimensions_are_an_error_not_a_default(self):
         code, out, err = run(["render", "a", "--width", "0"])
         assert code == EXIT_USAGE and b"width and height" in err
@@ -203,6 +208,24 @@ class TestDecisionCommands:
         code, out, err = run(["prove-swap", "(a|b)/(c|d)", "1", "2,1", "--budget", "100"])
         assert code == EXIT_USAGE
 
+    def test_prove_swap_names_a_bad_path_as_typed(self):
+        assert run(["prove-swap", "[a b; c d]", "9", "1,2", "--budget", "5"]) == (
+            EXIT_USAGE, b"", b"error: path 9 does not address a subterm\n"
+        )
+        assert run(["prove-swap", "[a b; c d]", "1,2", "1,1,1", "--budget", "5"]) == (
+            EXIT_USAGE, b"", b"error: path 1,1,1 does not address a subterm\n"
+        )
+
+    @pytest.mark.parametrize("path, message", [
+        (".", b"error: both paths must address leaves\n"),  # the root, a run here
+        ("1,x", b"error: bad path component 'x'\n"),
+        ("0", b"error: path components are 1-based\n"),
+    ])
+    def test_prove_swap_path_arguments(self, path, message):
+        assert run(["prove-swap", "[a b; c d]", path, "1,2", "--budget", "5"]) == (
+            EXIT_USAGE, b"", message
+        )
+
     def test_budget_zero_is_a_usage_error_even_for_a_trivial_swap(self):
         for argv in (["prove-swap", "(a|a)/(c|d)", "1,1", "1,2", "--budget", "0"],
                      ["equal", "a", "a", "--budget", "0"]):
@@ -224,6 +247,18 @@ class TestModelCommands:
         code, out, err = run(["models", "enumerate", "--order", "2", "--constraint", "unital"])
         assert code == EXIT_OK
         assert len(out.decode().strip().splitlines()) == 4
+
+    def test_enumerate_commutative_constraint(self):
+        def symmetric(tab):
+            return all(tab[x][y] == tab[y][x] for x in range(2) for y in range(2))
+
+        code, out, err = run(["models", "enumerate", "--order", "2"])
+        everything = [json.loads(line) for line in out.decode().splitlines()]
+        code, out, err = run(["models", "enumerate", "--order", "2", "--constraint", "commutative"])
+        assert code == EXIT_OK
+        docs = [json.loads(line) for line in out.decode().splitlines()]
+        assert docs == [d for d in everything if symmetric(d["h"]) and symmetric(d["v"])]
+        assert len(docs) == 18
 
     @pytest.mark.parametrize("argv, digest", [
         (["--order", "3"], "1eaea5a7a5d1e486cc63796a29b554f09ba3e7a4ba75a20388ed4b91dbb41f38"),

@@ -93,6 +93,10 @@ class TestScriptCodec:
         with pytest.raises(CodecError):
             decode_script(data)
 
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(CodecError, match="not UTF-8 at byte 0"):
+            decode_script(b"\xff\xfe")
+
 
 class TestModelCodec:
     def test_round_trips(self):

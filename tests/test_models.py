@@ -41,6 +41,14 @@ class TestCheckAxioms:
     def test_xor_pair_passes(self):
         assert check_axioms(xor_pair()).ok
 
+    def test_constructor_refuses_an_empty_carrier(self):
+        with pytest.raises(ValueError, match="carrier size must be at least 1"):
+            CayleyPair(0, (), ())
+
+    def test_constructor_refuses_a_ragged_table(self):
+        with pytest.raises(ValueError, match="table_h must be 2x2"):
+            CayleyPair(2, ((0, 1), (0,)), ((0, 1), (1, 0)))
+
     def test_first_assoc_witness_is_lexicographic(self):
         # naive scan: (1,0,1) is the first of the failing triples for this
         # table ((1*0)*1 = 1 but 1*(0*1) = 0); (1,1,1) fails too but later
@@ -294,3 +302,34 @@ class TestClaims:
                 inv = inverse_structure(m)
                 assert all(inv.inv_h[inv.inv_h[x]] == x for x in range(m.n))
                 assert all(inv.inv_v[inv.inv_v[x]] == x for x in range(m.n))
+
+    def test_unique_inverses_satisfy_the_inverse_semigroup_identities(self):
+        # Own loops, sharing nothing with the package: a semigroup in which
+        # every element has exactly one inverse is an inverse semigroup, so
+        # (xy)^-1 = y^-1 x^-1 and idempotents commute.
+        checked = 0
+        for n in (1, 2, 3):
+            for m in enumerate_models(n):
+                maps = []
+                for tab in (m.table_h, m.table_v):
+                    inv = []
+                    for x in range(n):
+                        ys = [y for y in range(n)
+                              if tab[tab[x][y]][x] == x and tab[tab[y][x]][y] == y]
+                        if len(ys) != 1:
+                            break
+                        inv.append(ys[0])
+                    else:
+                        for x in range(n):
+                            for y in range(n):
+                                assert inv[tab[x][y]] == tab[inv[y]][inv[x]]
+                                e, f = tab[x][inv[x]], tab[y][inv[y]]
+                                assert tab[e][f] == tab[f][e]
+                        checked += 1
+                        maps.append(tuple(inv))
+                found = inverse_structure(m)
+                if len(maps) == 2:
+                    assert (found.inv_h, found.inv_v) == tuple(maps)
+                else:
+                    assert found is None
+        assert checked > 0

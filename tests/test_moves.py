@@ -83,6 +83,8 @@ class TestApply:
             apply_move(t("a/(c|d)"), Move(ROW, (), 0, 1, 1))
         with pytest.raises(BadSplit):
             apply_move(t("(a|b)/(c|d)"), Move(ROW, (), 0, 2, 1))
+        with pytest.raises(BadSplit, match="split_second"):
+            apply_move(t("(a|b)/(c|d)"), Move(ROW, (), 0, 1, 2))
         with pytest.raises(BadPath):
             apply_move(t("(a|b)/(c|d)"), Move(ROW, (), 1, 1, 1))
 
@@ -216,6 +218,14 @@ class TestReplay:
             replay(script)
         assert exc.value.index == 1
 
+    def test_checkpoint_past_the_last_move(self):
+        # the codec refuses such a script; one built in the library reaches replay
+        term = t("(a|b)/(c|d)")
+        script = ProofScript(start=term, moves=(Move(ROW, (), 0, 1, 1),), checkpoints={"late": 2})
+        with pytest.raises(ReplayError, match="checkpoint 'late' out of range") as exc:
+            replay(script)
+        assert exc.value.index == 1
+
 
 def first_states(start, limit):
     """The first ``limit`` terms of ``start``'s closure in breadth-first order."""
@@ -288,6 +298,24 @@ class TestTrustedKernel:
             Move("diag", (), 0, 1, 1)
         with pytest.raises(MoveError):
             Move(ROW, (), 0, 1, 1)._replace(kind="diag")
+
+    def test_float_index_or_split_is_refused(self):
+        with pytest.raises(MoveError, match="must be ints"):
+            Move(ROW, (), 0.0, 1, 1)
+        with pytest.raises(MoveError, match="must be ints"):
+            Move(ROW, (), 0, 1, 1.0)
+
+    def test_bool_index_or_path_component_is_refused(self):
+        with pytest.raises(MoveError, match="must be ints"):
+            Move(ROW, (), True, 1, 1)
+        with pytest.raises(MoveError, match="tuple of ints"):
+            Move(ROW, (False,), 0, 1, 1)
+
+    def test_list_path_is_refused(self):
+        with pytest.raises(MoveError, match="tuple of ints"):
+            Move(ROW, [0], 0, 1, 1)
+        with pytest.raises(MoveError, match="tuple of ints"):
+            Move(ROW, (0,), 0, 1, 1)._replace(path=[0])
 
     def test_apply_at_depth_2000_does_not_recurse(self):
         def wrapped(core, levels):

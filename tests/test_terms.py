@@ -20,6 +20,7 @@ from tileproof.terms import (
     border_word,
     format_term,
     from_grid,
+    grid_labels,
     hcat,
     layout,
     leaf_multiset,
@@ -84,6 +85,11 @@ class TestParse:
         with pytest.raises(ParseError):
             t("[a b; c]")
 
+    def test_grid_cell_must_be_a_label(self):
+        with pytest.raises(ParseError, match="expected an identifier") as exc:
+            t("[1]")
+        assert exc.value.offset == 1
+
 
 class TestFormat:
     def test_examples(self):
@@ -115,6 +121,12 @@ class TestConstructors:
         with pytest.raises(TermError):
             Leaf("0bad")
 
+    def test_run_children_must_be_terms(self):
+        with pytest.raises(TermError, match="must be terms"):
+            H(("a", "b"))
+        with pytest.raises(TermError, match="must be terms"):
+            V((Leaf("a"), None))
+
     def test_from_grid(self):
         assert from_grid([["a"]]) == Leaf("a")
         assert from_grid([["a", "b"], ["c", "d"]]) == t("(a|b)/(c|d)")
@@ -122,6 +134,17 @@ class TestConstructors:
             from_grid([])
         with pytest.raises(TermError):
             from_grid([["a", "b"], ["c"]])
+
+    def test_empty_composition_is_refused(self):
+        with pytest.raises(TermError, match="empty horizontal composition"):
+            hcat([])
+
+    def test_grid_labels_need_12_border_and_4_middle_labels(self):
+        border = [f"e{k}" for k in range(1, 13)]
+        with pytest.raises(TermError, match="12 border labels"):
+            grid_labels(border[:11], "abcd")
+        with pytest.raises(TermError, match="4 middle labels"):
+            grid_labels(border, "abc")
 
 
 def _node_table_size():
