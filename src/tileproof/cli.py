@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     pe.set_defaults(handler=_cmd_models_enumerate)
     pe.add_argument("--order", type=int, required=True)
     pe.add_argument("--constraint", action="append", default=[],
-                    choices=("commutative", "cancellative", "inverse", "unital"))
+                    choices=models._CONSTRAINTS)
     pc = msub.add_parser("check", help="check the axioms of a model file")
     pc.set_defaults(handler=_cmd_models_check)
     pc.add_argument("model_file")
@@ -259,7 +259,7 @@ def _dispatch(argv: list[str], out, err) -> int:
         return EXIT_USAGE
 
 
-def run(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, bytes]:
+def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     """Run one invocation, capturing output; returns (code, stdout, stderr)."""
     out_raw, err_raw = io.BytesIO(), io.BytesIO()
     out = io.TextIOWrapper(out_raw, encoding="utf-8", newline="\n")

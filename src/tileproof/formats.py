@@ -79,6 +79,8 @@ def _load_json(data: bytes) -> Any:
         raise CodecError("document is not UTF-8", f"byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise CodecError(f"malformed JSON: {exc.msg}", f"offset {exc.pos}") from exc
+    except RecursionError as exc:  # the json decoder recurses once per nested value
+        raise CodecError("document nests too deeply") from exc
 
 
 def _expect(cond: bool, message: str, location: str):
@@ -154,27 +156,18 @@ def encode_model(m: CayleyPair) -> bytes:
     return (json.dumps(_model_doc(m), indent=2) + "\n").encode("utf-8")
 
 
-def _decode_table(raw: Any, n: int, name: str) -> tuple[tuple[int, ...], ...]:
-    _expect(isinstance(raw, list) and len(raw) == n, f"expected {n} rows", name)
-    table = []
-    for x, row in enumerate(raw):
-        _expect(isinstance(row, list) and len(row) == n, f"expected {n} entries", f"{name}[{x}]")
-        for y, e in enumerate(row):
-            _expect(isinstance(e, int) and not isinstance(e, bool), "expected an integer", f"{name}[{x}][{y}]")
-            _expect(0 <= e < n, f"entry {e} out of range 0..{n - 1}", f"{name}[{x}][{y}]")
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def decode_model(data: bytes) -> CayleyPair:
+    """The model a document holds.  Its values are checked by the
+    ``CayleyPair`` constructor, whose ``ValueError`` becomes a
+    ``CodecError``."""
     doc = _load_json(data)
     _expect(isinstance(doc, dict), "expected a JSON object", "document root")
     for key in ("n", "h", "v"):
         _expect(key in doc, f"missing key {key!r}", "document root")
-    n = doc["n"]
-    _expect(isinstance(n, int) and not isinstance(n, bool), "expected an integer", "n")
-    _expect(n >= 1, "carrier size must be at least 1", "n")
-    return CayleyPair(n, _decode_table(doc["h"], n, "h"), _decode_table(doc["v"], n, "v"))
+    try:
+        return CayleyPair(doc["n"], doc["h"], doc["v"])
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
 
 
 def claims_report_json(report: ClaimsReport) -> bytes:

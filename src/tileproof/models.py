@@ -70,8 +70,10 @@ class CayleyPair:
     """A finite carrier with two multiplication tables, row-major:
     ``table_h[x][y]`` is x composed with y horizontally.  Raises
     ``ValueError`` on an ``n`` that is not an ``int`` (or is a ``bool``), a
-    table that is not n x n or an entry that is not an ``int`` (or is a
-    ``bool``) in 0..n-1."""
+    table that is not an n x n list or tuple of lists or tuples, an entry
+    that is not an ``int`` (or is a ``bool``), or an entry outside 0..n-1.
+    This is the one check of a model's values; ``decode_model`` relies on
+    it."""
 
     n: int
     table_h: Table
@@ -84,18 +86,24 @@ class CayleyPair:
             raise ValueError("carrier size must be at least 1")
         tables = (("h", self.table_h), ("v", self.table_v))
         for name, tab in tables:
-            if len(tab) != self.n or any(len(row) != self.n for row in tab):
+            if not _is_rows(tab, self.n) or not all(_is_rows(row, self.n) for row in tab):
                 raise ValueError(f"table_{name} must be {self.n}x{self.n}")
         for name, tab in tables:
             for x, row in enumerate(tab):
                 for y, e in enumerate(row):
-                    if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < self.n:
+                    if isinstance(e, bool) or not isinstance(e, int):
+                        raise ValueError(f"table_{name}[{x}][{y}] = {e!r} is not an integer")
+                    if not 0 <= e < self.n:
                         raise ValueError(f"table_{name}[{x}][{y}] = {e!r} out of range 0..{self.n - 1}")
             object.__setattr__(self, f"table_{name}", tuple(map(tuple, tab)))
 
     @cached_property
     def _axioms(self) -> AxiomReport:
         return check_axioms(self)
+
+
+def _is_rows(seq, n: int) -> bool:
+    return isinstance(seq, (list, tuple)) and len(seq) == n
 
 
 def k_combinator(n: int = 2) -> CayleyPair:
@@ -365,22 +373,6 @@ def _assoc_tables(
     yield from fill(0)
 
 
-def _passes_constraints(m: CayleyPair, constraints: frozenset[str]) -> bool:
-    if "commutative" in constraints:
-        r = is_commutative(m)
-        if not (r.comm_h and r.comm_v):
-            return False
-    if "cancellative" in constraints and not is_cancellative(m):
-        return False
-    if "inverse" in constraints and inverse_structure(m) is None:
-        return False
-    if "unital" in constraints:
-        u = unit_report(m)
-        if u.unit_h is None or u.unit_v is None:
-            return False
-    return True
-
-
 _CONSTRAINTS = ("commutative", "cancellative", "inverse", "unital")
 _HOLDS = AxiomReport(None, None, None)  # the verdict of every enumerated model
 
@@ -410,8 +402,11 @@ def enumerate_models(
             # established the axioms, so neither __post_init__ nor check_axioms runs
             m = object.__new__(CayleyPair)
             m.__dict__.update(n=n, table_h=h, table_v=v, _axioms=_HOLDS)
-            if _passes_constraints(m, wanted):
-                yield m
+            if wanted:
+                traits, _ = _classify(m)
+                if not all(traits[c] for c in wanted):
+                    continue
+            yield m
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +414,7 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 
 CLAIM_NAMES = ("EH", "C1", "C2", "L", "P")
+_TALLIED = ("unital", "cancellative", "inverse", "bicancellable")  # report key order
 
 
 @dataclass(frozen=True)
@@ -440,14 +436,16 @@ class ClaimsReport:
 
 
 def _classify(m: CayleyPair) -> tuple[dict[str, bool], dict[str, Optional[bool]]]:
-    """Compute each structural predicate once.  Returns the tallied traits
-    and, per claim, None when it does not apply to the model, else whether
-    it holds."""
+    """Compute each structural predicate once.  Returns the traits (every
+    constraint name of ``enumerate_models``, and ``bicancellable``) and, per
+    claim, None when it does not apply to the model, else whether it
+    holds."""
     comm = is_commutative(m)
     both_comm = comm.comm_h and comm.comm_v
     units = unit_report(m)
     inv = inverse_structure(m)
     traits = {
+        "commutative": both_comm,
         "unital": units.unit_h is not None and units.unit_v is not None,
         "cancellative": is_cancellative(m),
         "inverse": inv is not None,
@@ -497,19 +495,12 @@ def verify_claims(n_max: int, max_order: Optional[int] = None) -> ClaimsReport:
     failed: dict[str, Optional[CayleyPair]] = {name: None for name in CLAIM_NAMES}
     counts = []
     for n in range(1, n_max + 1):
-        tally = {
-            "order": n,
-            "double_semigroups": 0,
-            "unital": 0,
-            "cancellative": 0,
-            "inverse": 0,
-            "bicancellable": 0,
-        }
+        tally = {"order": n, "double_semigroups": 0, **dict.fromkeys(_TALLIED, 0)}
         for m in enumerate_models(n, max_order=cap):
             traits, results = _classify(m)
             tally["double_semigroups"] += 1
-            for trait, has in traits.items():
-                tally[trait] += has
+            for trait in _TALLIED:
+                tally[trait] += traits[trait]
             for name, holds in results.items():
                 if holds is None:
                     continue

@@ -197,8 +197,10 @@ def _cat(run: type[_Run], parts: Iterable[Term], direction: str) -> Term:
     for p in parts:
         if type(p) is run:
             flat.extend(p.children)
-        else:
+        elif isinstance(p, _Interned):
             flat.append(p)
+        else:
+            raise TermError(f"{direction} composition needs terms, not {p!r}")
     if not flat:
         raise TermError(f"empty {direction} composition")
     if len(flat) == 1:

@@ -17,6 +17,28 @@ settings.load_profile("default")
 
 _LABELS = "abcdefgh"
 
+_XOR = [[0, 1], [1, 0]]
+
+# Model documents, as JSON values, that ``decode_model`` must refuse with a
+# ``CodecError``; each bends ``{"n": 2, "h": _XOR, "v": _XOR}`` in one place.
+BAD_MODEL_DOCS = {
+    "table is an int": {"n": 2, "h": 5, "v": _XOR},
+    "rows are ints": {"n": 2, "h": [5, 5], "v": _XOR},
+    "table is null": {"n": 2, "h": None, "v": _XOR},
+    "n is a string": {"n": "2", "h": _XOR, "v": _XOR},
+    "n is a float": {"n": 2.0, "h": _XOR, "v": _XOR},
+    "n is a bool": {"n": True, "h": _XOR, "v": _XOR},
+    "bool entry": {"n": 2, "h": [[True, 1], [1, 0]], "v": _XOR},
+    "float entry": {"n": 2, "h": [[0.0, 1], [1, 0]], "v": _XOR},
+    "entry out of range": {"n": 2, "h": [[0, 2], [1, 0]], "v": _XOR},
+    "ragged table": {"n": 2, "h": [[0, 1], [1]], "v": _XOR},
+    "empty carrier": {"n": 0, "h": [], "v": []},
+    "missing key": {"n": 2, "h": _XOR},
+    "root is a list": [2, _XOR, _XOR],
+    "rows are strings": {"n": 2, "h": ["ab", "cd"], "v": _XOR},
+    "table is an object": {"n": 2, "h": {"ab": 1, "cd": 2}, "v": _XOR},
+}
+
 
 def random_term(rng: random.Random, max_leaves: int, min_leaves: int = 1) -> Term:
     """Uniform-ish random flattened term with a bounded leaf count."""

@@ -12,6 +12,7 @@ from tileproof.formats import decode_script, encode_model
 from tileproof.models import CayleyPair, k_combinator
 from tileproof.moves import replay
 from tileproof.terms import from_grid, grid_labels, parse_term
+from conftest import BAD_MODEL_DOCS
 
 
 class TestParseCommand:
@@ -300,6 +301,14 @@ class TestModelCommands:
         path.write_text('{"n": 2, "h": [[0, 2], [0, 0]], "v": [[0, 0], [0, 0]]}')
         code, out, err = run(["models", "check", str(path)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("doc", BAD_MODEL_DOCS.values(), ids=BAD_MODEL_DOCS)
+    def test_check_hostile_model_file_is_one_error_line(self, doc, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["models", "check", str(path)])
+        assert (code, out) == (EXIT_USAGE, b"")
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
 
 
 class TestClaimsCommand:

@@ -17,7 +17,7 @@ from tileproof.formats import (
 from tileproof.models import CayleyPair, enumerate_models, k_combinator, xor_pair
 from tileproof.moves import Move, ProofScript, central_swap_script
 from tileproof.terms import Leaf, parse_term
-from conftest import random_term
+from conftest import BAD_MODEL_DOCS, random_term
 
 
 def t(text):
@@ -128,6 +128,22 @@ class TestModelCodec:
     def test_booleans_are_not_entries(self):
         with pytest.raises(CodecError):
             decode_model(b'{"n": 2, "h": [[true, 0], [0, 0]], "v": [[0, 0], [0, 0]]}')
+
+    @pytest.mark.parametrize("doc", BAD_MODEL_DOCS.values(), ids=BAD_MODEL_DOCS)
+    def test_hostile_documents_raise_codec_errors(self, doc):
+        with pytest.raises(CodecError):
+            decode_model(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("decode", [decode_model, decode_script])
+    def test_deep_nesting_is_a_codec_error(self, decode):
+        data = b'{"n": 2, "h": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        with pytest.raises(CodecError, match="nests too deeply"):
+            decode(data)
+
+    def test_value_errors_come_from_the_constructor(self):
+        doc = {"n": 2, "h": [[0, 1], [1, 0]], "v": [[0, 1], [0.0, 0]]}
+        with pytest.raises(CodecError, match=r"^table_v\[1\]\[0\] = 0.0 is not an integer$"):
+            decode_model(json.dumps(doc).encode())
 
 
 class TestClaimsReportJson:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import weakref
 
 import pytest
@@ -48,6 +49,16 @@ class TestCheckAxioms:
     def test_constructor_refuses_a_ragged_table(self):
         with pytest.raises(ValueError, match="table_h must be 2x2"):
             CayleyPair(2, ((0, 1), (0,)), ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("h", [5, None, "ab", {0: 0, 1: 0}, [5, 5], [[0, 1], "ab"], [[0, 1], None]])
+    def test_constructor_refuses_tables_and_rows_that_are_not_sequences(self, h):
+        with pytest.raises(ValueError, match="table_h must be 2x2"):
+            CayleyPair(2, h, ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("entry", [0.0, "0", None, True])
+    def test_constructor_names_an_entry_that_is_not_an_integer(self, entry):
+        with pytest.raises(ValueError, match=rf"^table_v\[1\]\[0\] = {re.escape(repr(entry))} is not an integer$"):
+            CayleyPair(2, ((0, 1), (1, 0)), ((0, 1), (entry, 0)))
 
     def test_first_assoc_witness_is_lexicographic(self):
         # naive scan: (1,0,1) is the first of the failing triples for this
@@ -251,6 +262,25 @@ class TestEnumeration:
         assert cancellative == {m for m in enumerate_models(2) if is_cancellative(m)}
         with pytest.raises(ValueError):
             list(enumerate_models(2, ("shiny",)))
+
+    @pytest.mark.parametrize("wanted", [
+        ("commutative",), ("cancellative",), ("inverse",), ("unital",),
+        ("unital", "commutative"), ("commutative", "cancellative", "inverse", "unital"),
+    ])
+    def test_constraints_agree_with_the_public_predicates(self, wanted):
+        def holds(m, name):
+            if name == "commutative":
+                r = is_commutative(m)
+                return r.comm_h and r.comm_v
+            if name == "cancellative":
+                return is_cancellative(m)
+            if name == "inverse":
+                return inverse_structure(m) is not None
+            u = unit_report(m)
+            return u.unit_h is not None and u.unit_v is not None
+
+        expected = [m for m in enumerate_models(2) if all(holds(m, name) for name in wanted)]
+        assert expected and list(enumerate_models(2, wanted)) == expected
 
     def test_order_range_enforced(self):
         with pytest.raises(MaxOrderError):

@@ -127,6 +127,16 @@ class TestConstructors:
         with pytest.raises(TermError, match="must be terms"):
             V((Leaf("a"), None))
 
+    def test_cat_parts_must_be_terms(self):
+        with pytest.raises(TermError, match="horizontal composition needs terms, not 'a'"):
+            hcat(["a", "b"])
+        with pytest.raises(TermError, match="vertical composition needs terms, not 3"):
+            vcat([Leaf("a"), 3])
+        with pytest.raises(TermError, match="needs terms"):
+            hcat([None])
+        # a nested run of the same direction still flattens
+        assert hcat([t("a|b"), Leaf("c")]) == t("a|b|c")
+
     def test_from_grid(self):
         assert from_grid([["a"]]) == Leaf("a")
         assert from_grid([["a", "b"], ["c", "d"]]) == t("(a|b)/(c|d)")
