@@ -13,6 +13,7 @@ Machine output (terms, JSON, SVG) goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -49,7 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use.  Parsing keeps its
+    state in a fresh namespace, and help and usage text are formatted anew,
+    at the terminal width of the moment, each time they are asked for."""
     parser = _Parser(prog="tileproof", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,9 +248,8 @@ def _cmd_claims_verify(args, out, err) -> int:
 
 
 def _dispatch(argv: list[str], out, err) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _HelpRequested as exc:
         out.write(str(exc))
         return EXIT_OK

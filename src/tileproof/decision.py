@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Optional, Sequence, Union
 
 from .moves import Move, ProofScript, apply_move, enumerate_moves, invert_move
-from .terms import Term, leaf_multiset, leaf_paths, swap_leaves
+from .terms import Term, border_word, leaf_multiset, leaf_paths, swap_leaves
 
 __all__ = [
     "Equal",
     "Distinct",
     "Unknown",
     "Verdict",
+    "MAX_BUDGET",
     "equal_exhaustive",
     "find_swap_proof",
     "move_closure",
@@ -55,6 +56,17 @@ class Unknown:
 
 Verdict = Union[Equal, Distinct, Unknown]
 
+# The most states a search may visit.  A search keeps about 0.5 KB per
+# visited state, so this cap holds it near 1 GB.
+MAX_BUDGET = 2_000_000
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget must be at most {MAX_BUDGET:,}")
+
 
 def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     """Decide whether two terms are move-equivalent, with a state budget.
@@ -63,7 +75,8 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     a bidirectional breadth-first search, side a from ``t1`` and side b from
     ``t2``, expands the smaller frontier first (alternating on ties, side a
     first); ``budget`` caps the number of distinct terms visited across both
-    sides.  Deterministic for fixed inputs and budget.
+    sides, and may be at most ``MAX_BUDGET``.  Deterministic for fixed
+    inputs and budget.
 
     An Equal script is a shortest one.  Each side's layer ``i`` holds exactly
     the terms at distance ``i`` from its root, and every new term is checked
@@ -80,8 +93,7 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
     layer from side a's recorded parents and moves (``_mirror``) instead of
     enumerating moves again; the verdict is the same either way.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_budget(budget)
     if t1 == t2:
         return Equal(ProofScript(start=t1))
     if leaf_multiset(t1) != leaf_multiset(t2):
@@ -218,10 +230,17 @@ def find_swap_proof(
     Both paths must address leaves.  Returns the script on an Equal verdict
     and ``None`` otherwise; callers that need to distinguish Distinct from
     Unknown can run ``equal_exhaustive(t, swap_leaves(t, p1, p2), budget)``
-    themselves, which is all this does.  So ``budget`` must be at least 1,
-    even when the swap leaves ``t`` as it is.
+    themselves.  ``budget`` must be between 1 and ``MAX_BUDGET``, as
+    there, even when the swap leaves ``t`` as it is.
+
+    Moves keep the border word (``terms.border_word``), so a swap that
+    changes it is Distinct, and ``None`` comes back without a search.
     """
-    verdict = equal_exhaustive(t, swap_leaves(t, leaf_path_1, leaf_path_2), budget)
+    swapped = swap_leaves(t, leaf_path_1, leaf_path_2)
+    _check_budget(budget)
+    if border_word(t) != border_word(swapped):
+        return None
+    verdict = equal_exhaustive(t, swapped, budget)
     if isinstance(verdict, Equal):
         return verdict.script
     return None

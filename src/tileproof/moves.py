@@ -13,10 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .terms import (
-    H, Leaf, Term, TermError, V, _intern, _replace_at, from_grid, grid_labels, hcat, subterm_at,
-    vcat,
-)
+from .terms import H, Leaf, Term, V, _intern, _rebuild, from_grid, grid_labels, hcat, vcat
 
 __all__ = [
     "ROW",
@@ -95,13 +92,17 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-def _checked_pieces(t: Term, m: Move) -> tuple[Term, Term, Term]:
-    """Validate ``m`` against ``t``; return the ambient node and the two
-    adjacent children the move merges."""
-    try:
-        node = subterm_at(t, m.path)
-    except TermError:
-        raise BadPath(f"path {tuple(m.path)} does not address a node") from None
+def _locate(t: Term, m: Move) -> tuple[list[Term], Term, Term, Term]:
+    """Validate ``m`` against ``t`` in one walk down ``m.path``; return the
+    ancestors passed (root first), the ambient node and the two adjacent
+    children the move merges."""
+    ancestors = []
+    node = t
+    for i in m.path:
+        if isinstance(node, Leaf) or not 0 <= i < len(node.children):
+            raise BadPath(f"path {tuple(m.path)} does not address a node")
+        ancestors.append(node)
+        node = node.children[i]
     want_ambient, want_child = (V, H) if m.kind == ROW else (H, V)
     if not isinstance(node, want_ambient):
         raise BadOrientation(
@@ -120,16 +121,7 @@ def _checked_pieces(t: Term, m: Move) -> tuple[Term, Term, Term]:
         raise BadSplit(f"split_first={m.split_first} out of range for arity {len(first.children)}")
     if not 1 <= m.split_second < len(second.children):
         raise BadSplit(f"split_second={m.split_second} out of range for arity {len(second.children)}")
-    return node, first, second
-
-
-def _split(run: Term, cut: int) -> tuple[Term, Term]:
-    """The two parts of ``run`` around ``cut``.  A slice of a flattened run
-    is flat, so a part is its one child or a run of the same direction."""
-    kids = run.children
-    left = kids[0] if cut == 1 else _intern(type(run), kids[:cut])
-    right = kids[-1] if cut == len(kids) - 1 else _intern(type(run), kids[cut:])
-    return left, right
+    return ancestors, node, first, second
 
 
 def apply_move(t: Term, m: Move) -> Term:
@@ -141,18 +133,24 @@ def apply_move(t: Term, m: Move) -> Term:
     re-flattened, so the leaf multiset is preserved and the output is again
     in normal form.
     """
-    node, first, second = _checked_pieces(t, m)
-    x, y = _split(first, m.split_first)
-    z, w = _split(second, m.split_second)
+    ancestors, node, first, second = _locate(t, m)
+    # A slice of a flattened run is flat, so each part is its one child or a
+    # run of the same direction.
+    run, cut, kids = type(first), m.split_first, first.children
+    x = kids[0] if cut == 1 else _intern(run, kids[:cut])
+    y = kids[-1] if cut == len(kids) - 1 else _intern(run, kids[cut:])
+    cut, kids = m.split_second, second.children
+    z = kids[0] if cut == 1 else _intern(run, kids[:cut])
+    w = kids[-1] if cut == len(kids) - 1 else _intern(run, kids[cut:])
     # ``x/z`` and ``y/w`` join in the ambient direction and may splice an
     # operand, so they go through ``vcat``/``hcat``.  Each has at least two
     # parts, so both are runs and their pair is a run in the other direction.
     inner = vcat if m.kind == ROW else hcat
-    merged = _intern(type(first), (inner([x, z]), inner([y, w])))
+    merged = _intern(run, (inner([x, z]), inner([y, w])))
     kids, i = node.children, m.index
     if len(kids) > 2:
         merged = _intern(type(node), kids[:i] + (merged,) + kids[i + 2 :])
-    return _replace_at(t, m.path, merged)
+    return _rebuild(ancestors, m.path, merged)
 
 
 def invert_move(t: Term, m: Move) -> Move:
@@ -165,7 +163,7 @@ def invert_move(t: Term, m: Move) -> Move:
     ambient pair was the node's only content the merged child is spliced
     into the grandparent.
     """
-    node, first, second = _checked_pieces(t, m)
+    _, node, first, second = _locate(t, m)
     kids = first.children
 
     def parts(operand: Term) -> int:

@@ -457,11 +457,18 @@ def subterm_at(t: Term, path: Sequence[int]) -> Term:
 
 def _replace_at(t: Term, path: Sequence[int], new: Term) -> Term:
     """Substitute the normal-form term ``new`` at ``path`` and rebuild the
-    ancestors bottom-up.  A new child in its parent's direction, which only
-    an unwrapped pair produces, is spliced into the parent."""
+    ancestors bottom-up."""
     ancestors = [t]
     for i in path[:-1]:
         ancestors.append(ancestors[-1].children[i])
+    return _rebuild(ancestors, path, new)
+
+
+def _rebuild(ancestors: Sequence[Term], path: Sequence[int], new: Term) -> Term:
+    """Put the normal-form term ``new`` in place of the node that ``path``
+    addresses, and rebuild ``ancestors``, the nodes the path passes through
+    from the root, bottom-up.  A new child in its parent's direction, which
+    only an unwrapped pair produces, is spliced into the parent."""
     for node, i in zip(reversed(ancestors), reversed(path)):
         run, kids = type(node), node.children
         middle = new.children if type(new) is run else (new,)

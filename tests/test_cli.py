@@ -232,6 +232,11 @@ class TestDecisionCommands:
                      ["equal", "a", "a", "--budget", "0"]):
             assert run(argv) == (EXIT_USAGE, b"", b"error: budget must be at least 1\n")
 
+    def test_budget_over_the_cap_is_a_usage_error(self):
+        for argv in (["prove-swap", "a|b", "1", "2", "--budget", "2000001"],
+                     ["equal", "a|b", "b|a", "--budget", "2000001"]):
+            assert run(argv) == (EXIT_USAGE, b"", b"error: budget must be at most 2,000,000\n")
+
 
 class TestModelCommands:
     def test_enumerate_stream(self):
@@ -352,3 +357,32 @@ class TestUsage:
         code, out, err = run(["parse", "a|b"])
         assert code == EXIT_OK and out == b"a|b\n"
         assert seen == [before]
+
+    def test_parser_is_built_once(self):
+        cli._build_parser.cache_clear()
+        for argv in (["parse", "a|b"], ["--help"], ["frobnicate"], ["render", "a|b"]):
+            run(argv)
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_a_run_leaves_nothing_for_the_next(self, monkeypatch):
+        # (COLUMNS, argv): help and usage text follow the width of the moment
+        sequence = [
+            ("80", ["render", "a|b", "--width", "9"]),
+            ("80", ["render", "a|b"]),
+            ("40", ["--help"]),
+            ("200", ["--help"]),
+            ("40", ["render", "a|b", "--width", "x"]),
+            ("200", ["render", "a|b", "--width", "x"]),
+            ("80", ["models", "enumerate", "--order", "2", "--constraint", "unital"]),
+            ("80", ["models", "enumerate", "--order", "2"]),
+        ]
+        alone = []
+        for columns, argv in sequence:
+            monkeypatch.setenv("COLUMNS", columns)
+            cli._build_parser.cache_clear()
+            alone.append(run(argv))
+        assert alone[2] != alone[3] and alone[4] != alone[5] and alone[6] != alone[7]
+        cli._build_parser.cache_clear()
+        for (columns, argv), expected in zip(sequence, alone):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run(argv) == expected

@@ -1,9 +1,12 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from tileproof import decision
+from tileproof import decision, moves
 from tileproof.decision import (
+    MAX_BUDGET,
     Distinct,
     Equal,
     Unknown,
@@ -15,9 +18,11 @@ from tileproof.moves import apply_move, enumerate_moves, replay
 from tileproof.terms import (
     Leaf,
     TermError,
+    border_word,
     from_grid,
     grid_labels,
     leaf_multiset,
+    leaf_paths,
     parse_term,
     swap_leaves,
 )
@@ -180,6 +185,41 @@ class TestFindSwapProof:
         with pytest.raises(ValueError, match="budget must be at least 1"):
             find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 0), 0)
 
+    def test_checks_come_before_the_border_word(self):
+        # the swap changes the border word, so only the checks can raise
+        with pytest.raises(TermError):
+            find_swap_proof(t("(a|b)/(c|d)"), (0,), (0, 1), 0)
+        for budget in (0, MAX_BUDGET + 1):
+            with pytest.raises(ValueError, match="budget must be"):
+                find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 1), budget)
+
+    def test_a_changed_border_word_needs_no_search(self, monkeypatch):
+        monkeypatch.setattr(decision, "equal_exhaustive", None)
+        assert find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 1), 1000) is None
+
+    def test_border_swaps_of_a_3x4_grid_leave_the_closure(self):
+        # two proofs of Distinct agree: the full closure, and the border word
+        start = from_grid([list("abcd"), list("efgh"), list("ijkl")])
+        closure = move_closure(start)
+        assert len(closure) == 8258
+        border = [p for p, _ in leaf_paths(start) if p[0] in (0, 2) or p[1] in (0, 3)]
+        pairs = list(itertools.combinations(border, 2))
+        assert len(pairs) == 45
+        for p1, p2 in pairs:
+            swapped = swap_leaves(start, p1, p2)
+            assert swapped not in closure
+            assert border_word(swapped) != border_word(start)
+            assert find_swap_proof(start, p1, p2, 1) is None
+
+
+class TestBudgetCap:
+    def test_over_the_cap_is_refused_before_any_search(self):
+        with pytest.raises(ValueError, match="budget must be at most 2,000,000"):
+            equal_exhaustive(t("a|b"), t("b|a"), MAX_BUDGET + 1)
+
+    def test_the_cap_itself_is_accepted(self):
+        assert equal_exhaustive(t("a|b"), t("b|a"), MAX_BUDGET) == Distinct(closure_size=1)
+
 
 class TestShortestScripts:
     def test_script_length_is_the_distance_on_the_3x3_closure(self):
@@ -235,3 +275,23 @@ class TestMirroredSearch:
         verdict = equal_exhaustive(start, swap_leaves(start, (0, 0), (0, 2)), 10_000)
         assert verdict == Distinct(closure_size=118)
         assert len(calls) == 118
+
+    def test_tracer_call_points(self, monkeypatch):
+        """The benchmark's tracer counts calls by wrapping these module
+        globals, so the search and the kernel must call them through their
+        modules: one enumeration per expansion, one apply per successor and
+        two joins per apply."""
+        counts = Counter()
+
+        def spy(module, name, key):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: counts.update([key]) or real(*a))
+
+        spy(decision, "enumerate_moves", "enumerate")
+        spy(decision, "apply_move", "apply")
+        spy(moves, "hcat", "cat")
+        spy(moves, "vcat", "cat")
+        start = t(GRID_3X3)
+        verdict = equal_exhaustive(start, swap_leaves(start, (0, 0), (0, 2)), 10_000)
+        assert verdict == Distinct(closure_size=118)
+        assert counts == {"enumerate": 118, "apply": 455, "cat": 910}

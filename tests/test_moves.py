@@ -88,6 +88,45 @@ class TestApply:
         with pytest.raises(BadPath):
             apply_move(t("(a|b)/(c|d)"), Move(ROW, (), 1, 1, 1))
 
+    # (term, move, error class, message) for each check, and for moves that
+    # fail several, the first check in order: path, orientation, index, pair,
+    # then each split.  ``invert_move`` makes the same checks.
+    BAD_MOVES = [
+        ("a", (ROW, (0,), 0, 1, 1), BadPath, "path (0,) does not address a node"),
+        ("(a|b)/(c|d)", (ROW, (2,), 0, 1, 1), BadPath, "path (2,) does not address a node"),
+        ("(a|b)/(c|d)", (ROW, (-1,), 0, 1, 1), BadPath, "path (-1,) does not address a node"),
+        ("a|(b/c)", (COL, (0, 0), 0, 1, 1), BadPath, "path (0, 0) does not address a node"),
+        ("(a/b)|(c/d)", (ROW, (7,), 5, 9, 9), BadPath, "path (7,) does not address a node"),
+        ("(a/b)|(c/d)", (ROW, (), 0, 1, 1), BadOrientation,
+         "row move needs a vertical ambient node at path ()"),
+        ("(a|b)/(c|d)", (COL, (), 0, 1, 1), BadOrientation,
+         "col move needs a horizontal ambient node at path ()"),
+        ("a|(b/c)", (ROW, (0,), 0, 1, 1), BadOrientation,
+         "row move needs a vertical ambient node at path (0,)"),
+        ("(a/b)|(c/d)", (ROW, (), 5, 9, 9), BadOrientation,
+         "row move needs a vertical ambient node at path ()"),
+        ("(a|b)/(c|d)", (ROW, (), 1, 1, 1), BadPath, "no adjacent pair at index 1 under path ()"),
+        ("(a|b)/(c|d)", (ROW, (), -1, 1, 1), BadPath, "no adjacent pair at index -1 under path ()"),
+        ("m|((a|b)/(c|d))|n", (ROW, (1,), 1, 1, 1), BadPath,
+         "no adjacent pair at index 1 under path (1,)"),
+        ("a/(c|d)", (ROW, (), 3, 9, 9), BadPath, "no adjacent pair at index 3 under path ()"),
+        ("a/(c|d)", (ROW, (), 0, 1, 1), BadPair, "children 0 and 1 must both be horizontal runs"),
+        ("(a/b)|c", (COL, (), 0, 1, 1), BadPair, "children 0 and 1 must both be vertical runs"),
+        ("a/(c|d)", (ROW, (), 0, 9, 9), BadPair, "children 0 and 1 must both be horizontal runs"),
+        ("(a|b)/(c|d)", (ROW, (), 0, 2, 1), BadSplit, "split_first=2 out of range for arity 2"),
+        ("(a|b)/(c|d)", (ROW, (), 0, 0, 1), BadSplit, "split_first=0 out of range for arity 2"),
+        ("(a|b)/(c|d)", (ROW, (), 0, 0, 0), BadSplit, "split_first=0 out of range for arity 2"),
+        ("(a|b)/(c|d)", (ROW, (), 0, 1, 2), BadSplit, "split_second=2 out of range for arity 2"),
+        ("(a/b)|(c/d)", (COL, (), 0, 1, 0), BadSplit, "split_second=0 out of range for arity 2"),
+    ]
+
+    @pytest.mark.parametrize("text, fields, kind, message", BAD_MOVES)
+    def test_error_class_and_message(self, text, fields, kind, message):
+        for f in (apply_move, invert_move):
+            with pytest.raises(MoveError) as caught:
+                f(t(text), Move(*fields))
+            assert (type(caught.value), str(caught.value)) == (kind, message)
+
     def test_deep_path_and_collapse(self):
         # ambient V has exactly two children: the merged child splices upward
         term = t("m|((a|b)/(c|d))|n")
