@@ -62,6 +62,8 @@ MAX_BUDGET = 2_000_000
 
 
 def _check_budget(budget: int) -> None:
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an int, not {budget!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if budget > MAX_BUDGET:
@@ -198,20 +200,21 @@ def _chain(seen, u) -> Iterator[tuple[Term, Move]]:
         u = edge[0]
 
 
-def move_closure(t: Term, budget: Optional[int] = None) -> frozenset[Term]:
+def move_closure(t: Term, budget: int = MAX_BUDGET) -> frozenset[Term]:
     """The full set of terms reachable from ``t`` by moves.
 
     This is the engine behind Distinct verdicts, exposed on its own because
     closures of small terms are useful objects in tests and to library
-    callers.
-    Raises ``ValueError`` if a budget is given and exceeded.
+    callers.  ``budget`` caps the closure's size, as in ``equal_exhaustive``.
+    Raises ``ValueError`` if the closure exceeds it.
     """
+    _check_budget(budget)
     seen = {t}
     frontier = [t]
     while frontier:
         nxt = []
         for _, _, u in _expand(frontier, seen):
-            if budget is not None and len(seen) >= budget:
+            if len(seen) >= budget:
                 raise ValueError(f"closure exceeded budget of {budget} states")
             seen.add(u)
             nxt.append(u)

@@ -347,6 +347,18 @@ def configured_max_order() -> int:
     return value
 
 
+def _check_order(name: str, n: int, max_order: Optional[int]) -> int:
+    """The cap, ``max_order`` or else the configured one, checked with ``n``."""
+    cap = configured_max_order() if max_order is None else max_order
+    if type(cap) is not int or not 1 <= cap <= _HARD_MAX_ORDER:
+        raise MaxOrderError(f"max_order must be in 1..{_HARD_MAX_ORDER}")
+    if type(n) is not int:
+        raise MaxOrderError(f"{name} must be an int, not {n!r}")
+    if not 1 <= n <= cap:
+        raise MaxOrderError(f"{name} {n} outside configured range 1..{cap}")
+    return cap
+
+
 def _assoc_tables(
     n: int, prune: Callable[[list[list[int]]], bool] = lambda tab: True
 ) -> Iterator[Table]:
@@ -390,11 +402,7 @@ def enumerate_models(
     bad = set(constraints) - set(_CONSTRAINTS)
     if bad:
         raise ValueError(f"unknown constraints: {sorted(bad)}")
-    cap = configured_max_order() if max_order is None else max_order
-    if not 1 <= cap <= _HARD_MAX_ORDER:
-        raise MaxOrderError(f"max_order must be in 1..{_HARD_MAX_ORDER}")
-    if not 1 <= n <= cap:
-        raise MaxOrderError(f"order {n} outside configured range 1..{cap}")
+    _check_order("order", n, max_order)
     wanted = frozenset(constraints)
     for h in _assoc_tables(n):
         for v in _assoc_tables(n, lambda tab: _first_interchange_failure(h, tab, n) is None):
@@ -488,9 +496,7 @@ def verify_claims(n_max: int, max_order: Optional[int] = None) -> ClaimsReport:
     All five claims are theorems, so any counterexample indicates an
     implementation bug; the report still carries it for diagnosis.
     """
-    cap = configured_max_order() if max_order is None else max_order
-    if not 1 <= n_max <= cap:
-        raise MaxOrderError(f"n_max {n_max} outside configured range 1..{cap}")
+    cap = _check_order("n_max", n_max, max_order)
     checked = {name: 0 for name in CLAIM_NAMES}
     failed: dict[str, Optional[CayleyPair]] = {name: None for name in CLAIM_NAMES}
     counts = []

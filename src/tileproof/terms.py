@@ -20,6 +20,7 @@ import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "Rect",
     "layout",
     "border_word",
-    "same_cyclic_word",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -544,40 +544,31 @@ def border_word(t: Term) -> tuple[str, ...]:
     Moves keep the word, leaf for leaf and not only up to rotation.  Call
     top(t) and bottom(t) the leaves along those sides from left to right, and
     left(t) and right(t) the leaves along those sides from top to bottom.
-    ``layout`` gives each child of an H node the node's full height and each
-    child of a V node its full width.  So the words of ``H(c1, ..., ck)`` are
-    top = top(c1)···top(ck), bottom = bottom(c1)···bottom(ck), left =
-    left(c1) and right = right(ck), dually for V, and a leaf is its own four
-    words.  The word read here is bottom, then right and top reversed, then
-    left, keeping each leaf at its first appearance, so it depends only on
-    the four words.  An interchange keeps them: ``(x|y)/(z|w)`` and
-    ``(x/z)|(y/w)`` both have top = top(x)·top(y), bottom =
+    Each child of an H node spans the node's full height, and each child of
+    a V node its full width.  So the words of ``H(c1, ..., ck)`` are top =
+    top(c1)···top(ck), bottom = bottom(c1)···bottom(ck), left = left(c1) and
+    right = right(ck), dually for V, and a leaf is its own four words.  One
+    bottom-up pass builds them, and the word is bottom, then right and top
+    reversed, then left, keeping each leaf at its first appearance, so it
+    depends only on the four words.  An interchange keeps them: ``(x|y)/(z|w)``
+    and ``(x/z)|(y/w)`` both have top = top(x)·top(y), bottom =
     bottom(z)·bottom(w), left = left(x)·left(z) and right = right(y)·right(w).
     A node's words depend only on its children's, and flattening only
     regroups concatenations, so the root keeps its four words too.
     """
-    rects = layout(t)
-    labels = dict(leaf_paths(t))
-
-    bottom = sorted((p for p, r in rects.items() if r.y0 == 0), key=lambda p: rects[p].x0)
-    right = sorted((p for p, r in rects.items() if r.x1 == 1), key=lambda p: rects[p].y0)
-    top = sorted((p for p, r in rects.items() if r.y1 == 1), key=lambda p: -rects[p].x0)
-    left = sorted((p for p, r in rects.items() if r.x0 == 0), key=lambda p: -rects[p].y0)
-
-    seen: set[tuple[int, ...]] = set()
-    word: list[str] = []
-    for path in bottom + right + top + left:
-        if path not in seen:
-            seen.add(path)
-            word.append(labels[path])
-    return tuple(word)
-
-
-def same_cyclic_word(u: Sequence[str], v: Sequence[str]) -> bool:
-    """Whether two label sequences are equal as cyclic words."""
-    if len(u) != len(v):
-        return False
-    if len(u) == 0:
-        return True
-    u, v = tuple(u), tuple(v)
-    return any(v == u[i:] + u[:i] for i in range(len(u)))
+    join = chain.from_iterable
+    labels, done = {}, []  # leaf path -> label; (top, bottom, left, right) per finished node
+    for path, node in reversed(list(_nodes(t))):
+        if type(node) is Leaf:
+            labels[path] = node.label
+            done.append(((path,),) * 4)
+            continue
+        # reversed preorder finishes the children last to first, so they pop first to last
+        tops, bottoms, lefts, rights = zip(*[done.pop() for _ in node.children])
+        if type(node) is H:
+            done.append((tuple(join(tops)), tuple(join(bottoms)), lefts[0], rights[-1]))
+        else:
+            done.append((tops[0], bottoms[-1], tuple(join(lefts)), tuple(join(rights))))
+    top, bottom, left, right = done.pop()
+    ring = dict.fromkeys(chain(bottom, reversed(right), reversed(top), left))
+    return tuple(labels[path] for path in ring)

@@ -144,6 +144,50 @@ def _compositions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def geometric_border_word(t: Term) -> tuple[str, ...]:
+    """Border word read off a tiling of a square, y growing upward: an H
+    node cuts its box into equal columns, left to right, and a V node into
+    equal rows, top to bottom.  The square's side is the product of every
+    run's child count, so every cut falls on an integer.  The leaves with an
+    edge on each side of the square, sorted along it, are read
+    counter-clockwise from the bottom-left corner, each at its first
+    appearance.  The walks keep their own stacks, so they take terms of any
+    depth."""
+    side, stack = 1, [t]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Leaf):
+            side *= len(node.children)
+            stack.extend(node.children)
+    tiles = []  # (x0, y0, x1, y1, label) per leaf
+    stack = [(t, 0, 0, side, side)]
+    while stack:
+        node, x0, y0, x1, y1 = stack.pop()
+        if isinstance(node, Leaf):
+            tiles.append((x0, y0, x1, y1, node.label))
+            continue
+        k = len(node.children)
+        for i, c in enumerate(node.children):
+            if isinstance(node, H):
+                w = (x1 - x0) // k
+                stack.append((c, x0 + i * w, y0, x0 + (i + 1) * w, y1))
+            else:
+                h = (y1 - y0) // k
+                stack.append((c, x0, y1 - (i + 1) * h, x1, y1 - i * h))
+    ring = (
+        sorted((r for r in tiles if r[1] == 0), key=lambda r: r[0])
+        + sorted((r for r in tiles if r[2] == side), key=lambda r: r[1])
+        + sorted((r for r in tiles if r[3] == side), key=lambda r: -r[0])
+        + sorted((r for r in tiles if r[0] == 0), key=lambda r: -r[1])
+    )
+    word, seen = [], set()
+    for x0, y0, _, _, label in ring:
+        if (x0, y0) not in seen:  # tiles never share a bottom-left corner
+            seen.add((x0, y0))
+            word.append(label)
+    return tuple(word)
+
+
 class UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}

@@ -52,14 +52,15 @@ def test_labels_may_repeat():
 def test_border_configuration_is_fixed_along_the_trajectory(trajectory):
     # the twelve outer labels stay on the border, in one fixed cyclic order,
     # through every intermediate term; the middle four never reach it
-    from tileproof.terms import border_word, same_cyclic_word
+    from tileproof.terms import border_word
+    from oracles import geometric_border_word
 
     reference = border_word(trajectory[0])
     assert set(reference) == set(BORDER)
     for term in trajectory:
         word = border_word(term)
         assert set(word) == set(BORDER)
-        assert same_cyclic_word(word, reference)
+        assert word == reference == geometric_border_word(term)
 
 
 def test_every_trajectory_term_lays_out_and_renders(trajectory):

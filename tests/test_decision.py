@@ -118,8 +118,17 @@ class TestClosure:
         assert len(move_closure(t("[a b c; d e f; g h i]"))) == 118
 
     def test_budget_overflow_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closure exceeded budget of 3 states"):
             move_closure(t("(a|b|c)/(d|e|f)/(g|h|i)"), budget=3)
+
+    def test_budget_follows_the_search_rule(self):
+        assert len(move_closure(t("[a b c; d e f; g h i]"), budget=118)) == 118
+        for budget, message in ((0, "at least 1"), (MAX_BUDGET + 1, "at most 2,000,000")):
+            with pytest.raises(ValueError, match=f"budget must be {message}"):
+                move_closure(t("a"), budget=budget)
+        for budget in (None, 10.5, 118.0, True, "118"):
+            with pytest.raises(ValueError, match="budget must be an int"):
+                move_closure(t("a"), budget=budget)
 
     def test_closure_stays_inside_the_leaf_multiset_universe(self):
         universe = all_terms_with_leaves(("a", "b", "c", "d"))
@@ -219,6 +228,13 @@ class TestBudgetCap:
 
     def test_the_cap_itself_is_accepted(self):
         assert equal_exhaustive(t("a|b"), t("b|a"), MAX_BUDGET) == Distinct(closure_size=1)
+
+    @pytest.mark.parametrize("budget", [10.5, 10.0, True, False, None, "10"])
+    def test_a_budget_that_is_not_an_int_is_refused(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be an int, not {budget!r}"):
+            equal_exhaustive(t("a|b"), t("b|a"), budget)
+        with pytest.raises(ValueError, match="budget must be an int"):
+            find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 1), budget)
 
 
 class TestShortestScripts:

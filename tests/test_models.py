@@ -288,6 +288,16 @@ class TestEnumeration:
         with pytest.raises(MaxOrderError):
             list(enumerate_models(0))
 
+    def test_orders_are_ints(self):
+        for order in (True, False, 2.0, "2", None):
+            with pytest.raises(MaxOrderError, match=f"order must be an int, not {order!r}"):
+                list(enumerate_models(order, max_order=3))
+        for cap in (0, 5, True, 3.0, "3"):
+            with pytest.raises(MaxOrderError, match="max_order must be in 1..4"):
+                list(enumerate_models(1, max_order=cap))
+        with pytest.raises(MaxOrderError, match="order 0 outside configured range 1..3"):
+            list(enumerate_models(0))
+
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("TILEPROOF_MAX_ORDER", "2")
         with pytest.raises(MaxOrderError):
@@ -313,6 +323,17 @@ class TestClaims:
         assert report.counts[-1]["double_semigroups"] == LABELED_DOUBLE_SEMIGROUPS[2]
         # every claim actually fired on some model
         assert all(s.checked > 0 for s in report.claims.values())
+
+    def test_orders_are_ints(self):
+        for n_max in (True, 2.0, "2"):
+            with pytest.raises(MaxOrderError, match=f"n_max must be an int, not {n_max!r}"):
+                verify_claims(n_max)
+        with pytest.raises(MaxOrderError, match="max_order must be in 1..4"):
+            verify_claims(1, max_order=True)
+        with pytest.raises(MaxOrderError, match="n_max 4 outside configured range 1..3"):
+            verify_claims(4)
+        with pytest.raises(MaxOrderError, match="max_order must be in 1..4"):
+            verify_claims(1, max_order=5)
 
     def test_mutant_interchange_violator_is_not_a_counterexample(self):
         # AND/OR fails interchange, so the claim checker refuses it upstream

@@ -26,7 +26,6 @@ from tileproof.terms import (
     leaf_multiset,
     leaf_paths,
     parse_term,
-    same_cyclic_word,
     subterm_at,
     swap_leaves,
     vcat,
@@ -35,6 +34,7 @@ from tileproof.decision import move_closure
 from tileproof.formats import RenderOptions, render_svg
 from tileproof.moves import ROW, Move, apply_move, enumerate_moves
 from conftest import random_term
+from oracles import geometric_border_word
 
 
 def t(text):
@@ -361,7 +361,25 @@ class TestBorderWord:
         term = from_grid([["a", "b", "c"], ["d", "x", "e"], ["f", "g", "h"]])
         assert "x" not in border_word(term)
 
-    def test_same_cyclic_word(self):
-        assert same_cyclic_word(("a", "b", "c"), ("c", "a", "b"))
-        assert not same_cyclic_word(("a", "b", "c"), ("a", "c", "b"))
-        assert not same_cyclic_word(("a",), ("a", "a"))
+    def test_matches_the_geometric_reading_over_the_3x4_closure(self):
+        closure = move_closure(from_grid([list("abcd"), list("efgh"), list("ijkl")]))
+        assert len(closure) == 8258
+        for term in closure:
+            assert border_word(term) == geometric_border_word(term) == tuple("ijklhdcbae")
+
+    def test_matches_the_geometric_reading_on_random_terms(self, rng):
+        for _ in range(2000):
+            term = random_term(rng, max_leaves=25)
+            assert border_word(term) == geometric_border_word(term)
+
+    def test_matches_the_geometric_reading_on_a_2000_level_term(self):
+        term = t("(a|b)/(c|d)")
+        for k in range(2000):
+            term = (hcat, vcat)[k % 2]([term, Leaf(f"x{k}")])
+        assert border_word(term) == geometric_border_word(term)
+
+    def test_matches_the_geometric_reading_on_a_20000_leaf_run(self):
+        labels = tuple(f"r{i}" for i in range(20000))
+        row, column = hcat(map(Leaf, labels)), vcat(map(Leaf, labels))
+        assert border_word(row) == geometric_border_word(row) == labels
+        assert border_word(column) == geometric_border_word(column) == labels[::-1]
