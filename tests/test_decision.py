@@ -126,9 +126,6 @@ class TestClosure:
         for budget, message in ((0, "at least 1"), (MAX_BUDGET + 1, "at most 2,000,000")):
             with pytest.raises(ValueError, match=f"budget must be {message}"):
                 move_closure(t("a"), budget=budget)
-        for budget in (None, 10.5, 118.0, True, "118"):
-            with pytest.raises(ValueError, match="budget must be an int"):
-                move_closure(t("a"), budget=budget)
 
     def test_closure_stays_inside_the_leaf_multiset_universe(self):
         universe = all_terms_with_leaves(("a", "b", "c", "d"))
@@ -235,6 +232,8 @@ class TestBudgetCap:
             equal_exhaustive(t("a|b"), t("b|a"), budget)
         with pytest.raises(ValueError, match="budget must be an int"):
             find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 1), budget)
+        with pytest.raises(ValueError, match="budget must be an int"):
+            move_closure(t("a"), budget=budget)
 
 
 class TestShortestScripts:
