@@ -189,7 +189,7 @@ def _stitch(t1, meet, seen) -> ProofScript:
     forward = [m for _, m in _chain(seen[0], meet)]
     forward.reverse()
     backward = [invert_move(parent, m) for parent, m in _chain(seen[1], meet)]
-    return ProofScript(start=t1, moves=tuple(forward + backward))
+    return ProofScript(start=t1, moves=forward + backward)
 
 
 def _chain(seen, u) -> Iterator[tuple[Term, Move]]:

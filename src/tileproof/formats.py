@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
-from xml.sax.saxutils import escape
 
 from .models import CayleyPair, ClaimsReport
 from .moves import Move, ProofScript
@@ -95,6 +94,9 @@ def _decode_index(value: Any, location: str) -> int:
 
 
 def decode_script(data: bytes) -> ProofScript:
+    """The script a document holds.  This checks the JSON shape and that move numbers are at
+    least 1; ``Move`` and ``ProofScript`` check the rest, and a ``ValueError`` of theirs is
+    raised again as a ``CodecError``."""
     doc = _load_json(data)
     _expect(isinstance(doc, dict), "expected a JSON object", "document root")
     _expect("start" in doc, "missing key 'start'", "document root")
@@ -113,30 +115,21 @@ def decode_script(data: bytes) -> ProofScript:
         _expect(isinstance(raw, dict), "expected an object", loc)
         for key in ("kind", "path", "index", "split_first", "split_second"):
             _expect(key in raw, f"missing key {key!r}", loc)
-        kind = raw["kind"]
-        _expect(kind in ("row", "col"), f"unknown move kind {kind!r}", f"{loc}.kind")
         _expect(isinstance(raw["path"], list), "expected a list", f"{loc}.path")
-        path = tuple(
-            _decode_index(p, f"{loc}.path[{i}]") for i, p in enumerate(raw["path"])
-        )
+        path = tuple(_decode_index(p, f"{loc}.path[{i}]") for i, p in enumerate(raw["path"]))
         index = _decode_index(raw["index"], f"{loc}.index")
-        splits = []
         for key in ("split_first", "split_second"):
             s = raw[key]
-            _expect(isinstance(s, int) and not isinstance(s, bool), "expected an integer", f"{loc}.{key}")
-            _expect(s >= 1, "splits must be >= 1", f"{loc}.{key}")
-            splits.append(s)
-        moves.append(Move(kind, path, index, splits[0], splits[1]))
+            _expect(type(s) is not int or s >= 1, "splits must be >= 1", f"{loc}.{key}")
+        try:
+            moves.append(Move(raw["kind"], path, index, raw["split_first"], raw["split_second"]))
+        except ValueError as exc:
+            raise CodecError(str(exc), loc) from exc
 
-    raw_cp = doc.get("checkpoints", {})
-    _expect(isinstance(raw_cp, dict), "expected an object", "checkpoints")
-    checkpoints = {}
-    for name, prefix in raw_cp.items():
-        loc = f"checkpoints[{name!r}]"
-        _expect(isinstance(prefix, int) and not isinstance(prefix, bool), "expected an integer", loc)
-        _expect(0 <= prefix <= len(moves), "checkpoint index out of range", loc)
-        checkpoints[name] = prefix
-    return ProofScript(start=start, moves=tuple(moves), checkpoints=checkpoints)
+    try:
+        return ProofScript(start, moves, doc.get("checkpoints", {}))
+    except ValueError as exc:
+        raise CodecError(str(exc), "checkpoints") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +252,7 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
         old = grid[r][c]
         grid[r][c] = ch if old in (" ", ch) else "+"
 
-    boxes = {}
+    # a leaf's label sits inside its walls, where no other leaf's wall runs
     for path, rect in rects.items():
         c0, c1 = col(rect.x0), col(rect.x1)
         r0, r1 = row(rect.y1), row(rect.y0)
@@ -267,7 +260,6 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
             raise CanvasTooSmall(
                 f"cell for leaf at {path} is {r1 - r0 + 1}x{c1 - c0 + 1}; needs 3x3"
             )
-        boxes[path] = (r0, c0, r1, c1)
         for c in range(c0, c1 + 1):
             put(r0, c, "-")
             put(r1, c, "-")
@@ -276,8 +268,6 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
             put(r, c1, "|")
         for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)):
             grid[r][c] = "+"
-
-    for path, (r0, c0, r1, c1) in boxes.items():
         label = labels[path]
         if not _visible(label, opts):
             continue
@@ -330,7 +320,7 @@ def render_svg(t: Term, opts: RenderOptions = RenderOptions(width=640, height=64
                 f'<text x="{_svg_num(cx)}" y="{_svg_num(cy)}" '
                 f'font-family="monospace" font-size="14" '
                 f'text-anchor="middle" dominant-baseline="central">'
-                f"{escape(label)}</text>"
+                f"{label}</text>"
             )
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -13,7 +13,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .terms import H, Leaf, Term, V, _intern, _rebuild, from_grid, grid_labels, hcat, vcat
+from .terms import H, Leaf, Term, TermError, V, _descend, _intern, _rebuild
+from .terms import from_grid, grid_labels, hcat, vcat
 
 __all__ = [
     "ROW",
@@ -82,10 +83,9 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
         # ``type(...) is int`` refuses ``bool``, which would apply as 0 or 1
         if type(path) is not tuple or [k for k in path if type(k) is not int]:
             raise MoveError(f"move path must be a tuple of ints, not {path!r}")
-        if not type(index) is type(split_first) is type(split_second) is int:
-            raise MoveError(
-                f"move index and splits must be ints, not {(index, split_first, split_second)!r}"
-            )
+        for name, value in zip(cls._fields[2:], (index, split_first, split_second)):
+            if type(value) is not int:
+                raise MoveError(f"move {name} must be an int, not {value!r}")
         return tuple.__new__(cls, (kind, path, index, split_first, split_second))
 
     # ``_replace`` builds through ``_make``, which would skip the check
@@ -96,13 +96,7 @@ def _locate(t: Term, m: Move) -> tuple[list[Term], Term, Term, Term]:
     """Validate ``m`` against ``t`` in one walk down ``m.path``; return the
     ancestors passed (root first), the ambient node and the two adjacent
     children the move merges."""
-    ancestors = []
-    node = t
-    for i in m.path:
-        if isinstance(node, Leaf) or not 0 <= i < len(node.children):
-            raise BadPath(f"path {tuple(m.path)} does not address a node")
-        ancestors.append(node)
-        node = node.children[i]
+    ancestors, node = _descend(t, m.path, BadPath, "a node")
     want_ambient, want_child = (V, H) if m.kind == ROW else (H, V)
     if not isinstance(node, want_ambient):
         raise BadOrientation(
@@ -173,14 +167,9 @@ def invert_move(t: Term, m: Move) -> Move:
     inv_split_second = parts(kids[-1]) if m.split_first == len(kids) - 1 else 1
     inv_kind = COL if m.kind == ROW else ROW
     if len(node.children) > 2:
-        inv_path = m.path + (m.index,)
-        inv_index = 0
-    elif m.path:
-        inv_path = m.path[:-1]
-        inv_index = m.path[-1]
-    else:
-        inv_path = ()
-        inv_index = 0
+        inv_path, inv_index = m.path + (m.index,), 0
+    else:  # the merged child took the node's place, or was spliced into its parent
+        inv_path, inv_index = m.path[:-1], (m.path[-1] if m.path else 0)
     return Move(inv_kind, inv_path, inv_index, inv_split_first, inv_split_second)
 
 
@@ -231,18 +220,40 @@ class ProofScript:
 
     ``checkpoints`` maps a name to a move-count prefix; the named term is the
     one reached after replaying that many moves.
+
+    Building one is the one check of a script's values, which
+    ``decode_script`` and ``replay`` rely on; ``moves`` is stored as a tuple.
     """
 
     start: Term
     moves: tuple[Move, ...] = ()
     checkpoints: Mapping[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.start, (Leaf, H, V)):
+            raise TermError(f"script start must be a term, not {self.start!r}")
+        moves, checkpoints = self.moves, self.checkpoints
+        if not isinstance(moves, (list, tuple)):
+            raise MoveError(f"script moves must be a list or tuple, not {type(moves).__name__}")
+        for k, m in enumerate(moves):
+            if not isinstance(m, Move):
+                raise MoveError(f"moves[{k}] = {m!r} is not a Move")
+        object.__setattr__(self, "moves", tuple(moves))
+        if not isinstance(checkpoints, Mapping):
+            raise ValueError(f"checkpoints must be a mapping, not {type(checkpoints).__name__}")
+        for name, prefix in checkpoints.items():
+            if type(name) is not str:
+                raise ValueError(f"checkpoint name {name!r} is not a string")
+            # ``type(...) is int`` refuses ``bool``, which would encode as ``true``
+            if type(prefix) is not int or not 0 <= prefix <= len(moves):
+                raise ValueError(f"checkpoint {name!r} is {prefix!r}, not an int 0..{len(moves)}")
+
 
 def replay(script: ProofScript) -> list[Term]:
     """Replay a script; returns the whole trajectory ``[start, ..., final]``.
 
-    Fails atomically on the first invalid move, raising ``ReplayError`` with
-    that move's position.
+    Fails atomically on the first move that does not apply, raising
+    ``ReplayError`` with that move's position.
     """
     trajectory = [script.start]
     for k, m in enumerate(script.moves):
@@ -250,9 +261,6 @@ def replay(script: ProofScript) -> list[Term]:
             trajectory.append(apply_move(trajectory[-1], m))
         except MoveError as exc:
             raise ReplayError(k, exc) from exc
-    for name, prefix in script.checkpoints.items():
-        if not 0 <= prefix <= len(script.moves):
-            raise ReplayError(len(script.moves), MoveError(f"checkpoint {name!r} out of range"))
     return trajectory
 
 
@@ -340,5 +348,5 @@ def central_swap_script(border: Sequence[str], a: str, b: str, c: str, d: str) -
     halfway.  Labels may repeat; the moves are positional.
     """
     start = from_grid(grid_labels(border, (a, b, c, d)))
-    moves = tuple(Move(*row) for row in _CENTRAL_SWAP_MOVES)
+    moves = [Move(*row) for row in _CENTRAL_SWAP_MOVES]
     return ProofScript(start=start, moves=moves, checkpoints=dict(_CENTRAL_SWAP_CHECKPOINTS))

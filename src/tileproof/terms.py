@@ -445,23 +445,21 @@ def leaf_paths(t: Term) -> Iterator[tuple[tuple[int, ...], str]]:
     return ((path, node.label) for path, node in _nodes(t) if type(node) is Leaf)
 
 
+def _descend(t: Term, path: Sequence[int], error: type, what: str) -> tuple[list[Term], Term]:
+    """Walk ``path`` down from the root of ``t``; return the nodes passed, root first, and
+    the node reached.  A step off the term raises ``error``: the path does not address ``what``."""
+    ancestors, node = [], t
+    for i in path:
+        if type(node) is Leaf or not 0 <= i < len(node.children):
+            raise error(f"path {tuple(path)} does not address {what}")
+        ancestors.append(node)
+        node = node.children[i]
+    return ancestors, node
+
+
 def subterm_at(t: Term, path: Sequence[int]) -> Term:
     """The subterm addressed by a path of child indices from the root."""
-    node = t
-    for i in path:
-        if isinstance(node, Leaf) or not 0 <= i < len(node.children):
-            raise TermError(f"path {tuple(path)} does not address a subterm")
-        node = node.children[i]
-    return node
-
-
-def _replace_at(t: Term, path: Sequence[int], new: Term) -> Term:
-    """Substitute the normal-form term ``new`` at ``path`` and rebuild the
-    ancestors bottom-up."""
-    ancestors = [t]
-    for i in path[:-1]:
-        ancestors.append(ancestors[-1].children[i])
-    return _rebuild(ancestors, path, new)
+    return _descend(t, path, TermError, "a subterm")[1]
 
 
 def _rebuild(ancestors: Sequence[Term], path: Sequence[int], new: Term) -> Term:
@@ -478,10 +476,13 @@ def _rebuild(ancestors: Sequence[Term], path: Sequence[int], new: Term) -> Term:
 
 def swap_leaves(t: Term, path_1: Sequence[int], path_2: Sequence[int]) -> Term:
     """The same term with the labels at two leaf positions exchanged."""
-    l1, l2 = subterm_at(t, path_1), subterm_at(t, path_2)
-    if not isinstance(l1, Leaf) or not isinstance(l2, Leaf):
+    ancestors, l1 = _descend(t, path_1, TermError, "a subterm")
+    l2 = subterm_at(t, path_2)
+    if type(l1) is not Leaf or type(l2) is not Leaf:
         raise TermError("both paths must address leaves")
-    return _replace_at(_replace_at(t, path_1, l2), path_2, l1)
+    # a leaf for a leaf keeps the shape, so ``path_2`` still addresses a leaf
+    t = _rebuild(ancestors, path_1, l2)
+    return _rebuild(_descend(t, path_2, TermError, "a subterm")[0], path_2, l1)
 
 
 # ---------------------------------------------------------------------------

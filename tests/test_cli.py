@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from tileproof.models import CayleyPair, k_combinator
 from tileproof.moves import replay
 from tileproof.terms import from_grid, grid_labels, parse_term
 from conftest import BAD_MODEL_DOCS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParseCommand:
@@ -159,6 +164,24 @@ class TestProofCommands:
         path.write_text("{")
         code, out, err = run(["verify-proof", str(path)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "checkpoints,message",
+        [
+            ({"x": 41}, "checkpoint 'x' is 41, not an int 0..40"),
+            ({"x": 2.0}, "checkpoint 'x' is 2.0, not an int 0..40"),
+            (None, "checkpoints must be a mapping, not NoneType"),
+        ],
+    )
+    def test_bad_checkpoint_is_one_error_line(self, checkpoints, message, tmp_path):
+        path = tmp_path / "swap.json"
+        run(["emit-central-swap", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        doc["checkpoints"] = checkpoints
+        path.write_text(json.dumps(doc))
+        assert run(["verify-proof", str(path)]) == (
+            EXIT_USAGE, b"", f"error: {message} at checkpoints\n".encode()
+        )
 
     def test_missing_file_is_exit_2(self):
         code, out, err = run(["verify-proof", "/nonexistent/file.json"])
@@ -357,6 +380,13 @@ class TestUsage:
         code, out, err = run(["parse", "a|b"])
         assert code == EXIT_OK and out == b"a|b\n"
         assert seen == [before]
+
+    def test_import_leaves_urllib_unloaded(self):
+        # the package and its CLI load no network or mail modules
+        code = "import sys, tileproof, tileproof.cli; print('urllib.request' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.stdout == b"False\n"
 
     def test_parser_is_built_once(self):
         cli._build_parser.cache_clear()

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -25,6 +27,13 @@ def t(text):
 
 
 BORDER = tuple(f"e{k}" for k in range(1, 13))
+
+
+def _relabel(term, names):
+    """``term`` with each leaf label ``x`` replaced by ``names[x]``."""
+    if type(term) is Leaf:
+        return Leaf(names[term.label])
+    return type(term)(_relabel(c, names) for c in term.children)
 
 
 class TestScriptCodec:
@@ -80,13 +89,50 @@ class TestScriptCodec:
             decode_script(data)
         assert needle in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("kind", "diag", "unknown move kind 'diag' at moves[3]"),
+            ("split_first", 1.0, "move split_first must be an int, not 1.0 at moves[3]"),
+            ("split_second", True, "move split_second must be an int, not True at moves[3]"),
+            ("split_second", -2, "splits must be >= 1 at moves[3].split_second"),
+            ("index", True, "expected an integer at moves[3].index"),
+            ("path", [1.0], "expected an integer at moves[3].path[0]"),
+        ],
+    )
+    def test_move_values_are_checked_by_the_constructor(self, key, value, message):
+        doc = json.loads(encode_script(central_swap_script(BORDER, "a", "b", "c", "d")))
+        doc["moves"][3][key] = value
+        with pytest.raises(CodecError) as exc:
+            decode_script(json.dumps(doc).encode())
+        assert str(exc.value) == message
+
     def test_checkpoint_out_of_range(self):
         data = json.dumps(
             {"start": "a|b", "moves": [], "checkpoints": {"late": 3}}
         ).encode()
         with pytest.raises(CodecError) as exc:
             decode_script(data)
-        assert "out of range" in str(exc.value)
+        assert str(exc.value) == "checkpoint 'late' is 3, not an int 0..0 at checkpoints"
+
+    @pytest.mark.parametrize(
+        "checkpoints,message",
+        [
+            ({"late": True}, "checkpoint 'late' is True, not an int 0..0 at checkpoints"),
+            ({"late": "1"}, "checkpoint 'late' is '1', not an int 0..0 at checkpoints"),
+            ([], "checkpoints must be a mapping, not list at checkpoints"),
+        ],
+    )
+    def test_checkpoints_are_checked_by_the_constructor(self, checkpoints, message):
+        data = json.dumps({"start": "a|b", "moves": [], "checkpoints": checkpoints}).encode()
+        with pytest.raises(CodecError) as exc:
+            decode_script(data)
+        assert str(exc.value) == message
+
+    def test_list_of_moves_round_trips(self):
+        # the constructor stores the list as a tuple, as decode_script does
+        script = ProofScript(start=t("(a|b)/(c|d)"), moves=[Move("row", (), 0, 1, 1)])
+        assert decode_script(encode_script(script)) == script
 
     def test_bad_start_term(self):
         data = json.dumps({"start": "a||b", "moves": []}).encode()
@@ -205,6 +251,28 @@ class TestAsciiRenderer:
         term = random_term(rng, max_leaves=6)
         opts = RenderOptions(61, 31)
         assert render_ascii(term, opts) == render_ascii(term, opts)
+
+    def test_seeded_renders_are_pinned(self):
+        # sha256 of seeded ASCII and SVG renders, both visibilities, with
+        # short, long and nameless labels; it pins the output of a renderer
+        # that drew every wall before any label
+        rng = random.Random(1319)
+        names = ["a", "_", "_x1", "bb", "Z9", "label_long", "extremely_long_name"]
+        digest = hashlib.sha256()
+        for _ in range(300):
+            term = random_term(rng, max_leaves=12)
+            term = _relabel(term, {k: rng.choice(names) for k in "abcdefgh"})
+            width, height = rng.randint(3, 70), rng.randint(3, 35)
+            for visibility in ("all", "named-only"):
+                opts = RenderOptions(width, height, visibility)
+                try:
+                    digest.update(render_ascii(term, opts).encode())
+                except CanvasTooSmall as exc:
+                    digest.update(str(exc).encode())
+                digest.update(render_svg(term, opts))
+        assert digest.hexdigest() == (
+            "e115f7337af7e4cf27f316e619558b4d92c5cee521eb0bb5e0e036cd09dd2902"
+        )
 
     def test_bad_options(self):
         with pytest.raises(RenderError):

@@ -22,6 +22,7 @@ from tileproof.moves import (
 )
 from tileproof.terms import (
     Leaf,
+    TermError,
     V,
     border_word,
     hcat,
@@ -257,12 +258,57 @@ class TestReplay:
         assert exc.value.index == 1
 
     def test_checkpoint_past_the_last_move(self):
-        # the codec refuses such a script; one built in the library reaches replay
+        # the constructor refuses the script, so neither the codec nor replay sees one
         term = t("(a|b)/(c|d)")
-        script = ProofScript(start=term, moves=(Move(ROW, (), 0, 1, 1),), checkpoints={"late": 2})
-        with pytest.raises(ReplayError, match="checkpoint 'late' out of range") as exc:
-            replay(script)
-        assert exc.value.index == 1
+        with pytest.raises(ValueError, match=r"^checkpoint 'late' is 2, not an int 0\.\.1$"):
+            ProofScript(start=term, moves=(Move(ROW, (), 0, 1, 1),), checkpoints={"late": 2})
+
+
+class TestScriptConstructor:
+    """``ProofScript`` is the one check of a script's values; each bad value
+    here would otherwise break later, in ``replay`` or in the codec."""
+
+    term = t("(a|b)/(c|d)")
+    move = Move(ROW, (), 0, 1, 1)
+
+    def test_plain_tuple_move_is_refused(self):
+        # replay would read ``m.path`` from it and raise AttributeError
+        with pytest.raises(MoveError, match=r"^moves\[0\] = \('row', \(\), 0, 1, 1\) is not a Move$"):
+            ProofScript(self.term, (tuple(self.move),))
+
+    def test_start_must_be_a_term(self):
+        # replay would blame move 0 for the wrong ambient node
+        with pytest.raises(TermError, match=r"^script start must be a term, not '\(a\|b\)/\(c\|d\)'$"):
+            ProofScript("(a|b)/(c|d)", (self.move,))
+
+    def test_moves_must_be_a_list_or_tuple(self):
+        with pytest.raises(MoveError, match="^script moves must be a list or tuple, not generator$"):
+            ProofScript(self.term, (m for m in [self.move]))
+
+    def test_moves_are_stored_as_a_tuple(self):
+        script = ProofScript(self.term, [self.move])
+        assert script.moves == (self.move,) and type(script.moves) is tuple
+        assert script == ProofScript(self.term, (self.move,))
+
+    @pytest.mark.parametrize(
+        "checkpoints,message",
+        [
+            # encode_script sorts the names, and a mixed set does not sort
+            ({"mid": 0, 1: 1}, "checkpoint name 1 is not a string"),
+            # would encode as ``true``, which decode_script refuses
+            ({"mid": True}, r"checkpoint 'mid' is True, not an int 0\.\.1"),
+            ({"mid": 1.0}, r"checkpoint 'mid' is 1\.0, not an int 0\.\.1"),
+            ({"mid": -1}, r"checkpoint 'mid' is -1, not an int 0\.\.1"),
+            ([("mid", 1)], "checkpoints must be a mapping, not list"),
+        ],
+    )
+    def test_bad_checkpoints_are_refused(self, checkpoints, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProofScript(self.term, (self.move,), checkpoints)
+
+    def test_every_prefix_is_a_checkpoint(self):
+        script = ProofScript(self.term, (self.move,), {"start": 0, "end": 1})
+        assert replay(script) == [self.term, t("(a/c)|(b/d)")]
 
 
 def first_states(start, limit):
@@ -338,13 +384,13 @@ class TestTrustedKernel:
             Move(ROW, (), 0, 1, 1)._replace(kind="diag")
 
     def test_float_index_or_split_is_refused(self):
-        with pytest.raises(MoveError, match="must be ints"):
+        with pytest.raises(MoveError, match=r"^move index must be an int, not 0\.0$"):
             Move(ROW, (), 0.0, 1, 1)
-        with pytest.raises(MoveError, match="must be ints"):
+        with pytest.raises(MoveError, match=r"^move split_second must be an int, not 1\.0$"):
             Move(ROW, (), 0, 1, 1.0)
 
     def test_bool_index_or_path_component_is_refused(self):
-        with pytest.raises(MoveError, match="must be ints"):
+        with pytest.raises(MoveError, match="^move index must be an int, not True$"):
             Move(ROW, (), True, 1, 1)
         with pytest.raises(MoveError, match="tuple of ints"):
             Move(ROW, (False,), 0, 1, 1)

@@ -293,15 +293,34 @@ class TestLeafOps:
         term = t("(a|b)/(c|d)")
         assert swap_leaves(term, (0, 0), (0, 1)) == t("(b|a)/(c|d)")
         assert swap_leaves(term, (0, 0), (0, 0)) == term
-        with pytest.raises(TermError):
-            swap_leaves(term, (0,), (1, 0))
+        assert swap_leaves(term, [0, 1], [1, 0]) == t("(a|c)/(b|d)")
+        assert swap_leaves(Leaf("a"), (), ()) == Leaf("a")
+
+    @pytest.mark.parametrize(
+        "path_1,path_2,message",
+        [
+            ((0,), (1, 0), "both paths must address leaves"),
+            ((0, 0), (1,), "both paths must address leaves"),
+            ((), (), "both paths must address leaves"),
+            ((0, 0), (5,), r"path \(5,\) does not address a subterm"),
+            ((9,), (0, 0), r"path \(9,\) does not address a subterm"),
+            # the first path is walked first, though the second is bad too
+            ((0, 0, 0), (7,), r"path \(0, 0, 0\) does not address a subterm"),
+        ],
+    )
+    def test_swap_leaves_errors(self, path_1, path_2, message):
+        with pytest.raises(TermError, match=f"^{message}$"):
+            swap_leaves(t("(a|b)/(c|d)"), path_1, path_2)
 
     def test_subterm_at(self):
         term = t("(a|b)/(c|d)")
         assert subterm_at(term, ()) == term
         assert subterm_at(term, (0, 1)) == Leaf("b")
-        with pytest.raises(TermError):
-            subterm_at(term, (0, 1, 0))
+        assert subterm_at(term, [1, 0]) == Leaf("c")
+        for path in ((0, 1, 0), (2,), (-1,), [0, 5]):
+            with pytest.raises(TermError) as exc:
+                subterm_at(term, path)
+            assert str(exc.value) == f"path {tuple(path)} does not address a subterm"
 
 
 class TestLayout:
