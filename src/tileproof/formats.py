@@ -21,7 +21,7 @@ from typing import Any
 
 from .models import CayleyPair, ClaimsReport
 from .moves import Move, ProofScript
-from .terms import Term, format_term, layout, leaf_paths, parse_term, ParseError
+from .terms import Term, _tiles, format_term, parse_term, ParseError
 
 __all__ = [
     "CodecError",
@@ -235,8 +235,6 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
     W, Hh = opts.width, opts.height
     if W * Hh > _MAX_CANVAS_CELLS:
         raise CanvasTooLarge(f"canvas of {W}x{Hh} characters exceeds {_MAX_CANVAS_CELLS:,} cells")
-    rects = layout(t)
-    labels = dict(leaf_paths(t))
     if W < 3 or Hh < 3:
         raise CanvasTooSmall("canvas must be at least 3x3 characters")
 
@@ -252,10 +250,11 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
         old = grid[r][c]
         grid[r][c] = ch if old in (" ", ch) else "+"
 
-    # a leaf's label sits inside its walls, where no other leaf's wall runs
-    for path, rect in rects.items():
-        c0, c1 = col(rect.x0), col(rect.x1)
-        r0, r1 = row(rect.y1), row(rect.y0)
+    # a leaf's label sits inside its walls, where no other leaf's wall runs;
+    # ``put`` makes each corner a ``+``, as its ``-`` and ``|`` meet there
+    for path, label, (x0, y0, x1, y1) in _tiles(t):
+        c0, c1 = col(x0), col(x1)
+        r0, r1 = row(y1), row(y0)
         if c1 - c0 < 2 or r1 - r0 < 2:
             raise CanvasTooSmall(
                 f"cell for leaf at {path} is {r1 - r0 + 1}x{c1 - c0 + 1}; needs 3x3"
@@ -266,9 +265,6 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
         for r in range(r0, r1 + 1):
             put(r, c0, "|")
             put(r, c1, "|")
-        for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)):
-            grid[r][c] = "+"
-        label = labels[path]
         if not _visible(label, opts):
             continue
         iw = c1 - c0 - 1
@@ -293,8 +289,6 @@ def _svg_num(fr: Fraction) -> str:
 def render_svg(t: Term, opts: RenderOptions = RenderOptions(width=640, height=640)) -> bytes:
     """Standalone SVG document: one bordered rectangle per leaf plus centered
     labels.  Output bytes are identical across runs for fixed input."""
-    rects = layout(t)
-    labels = dict(leaf_paths(t))
     W, Hh = Fraction(opts.width), Fraction(opts.height)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -302,17 +296,16 @@ def render_svg(t: Term, opts: RenderOptions = RenderOptions(width=640, height=64
         f'width="{opts.width}" height="{opts.height}" '
         f'viewBox="0 0 {opts.width} {opts.height}">',
     ]
-    for path, rect in rects.items():
-        x = rect.x0 * W
-        y = (1 - rect.y1) * Hh
-        w = (rect.x1 - rect.x0) * W
-        h = (rect.y1 - rect.y0) * Hh
+    for _, label, (x0, y0, x1, y1) in _tiles(t):
+        x = x0 * W
+        y = (1 - y1) * Hh
+        w = (x1 - x0) * W
+        h = (y1 - y0) * Hh
         lines.append(
             f'<rect x="{_svg_num(x)}" y="{_svg_num(y)}" '
             f'width="{_svg_num(w)}" height="{_svg_num(h)}" '
             f'fill="white" stroke="black" stroke-width="1"/>'
         )
-        label = labels[path]
         if _visible(label, opts):
             cx = x + w / 2
             cy = y + h / 2

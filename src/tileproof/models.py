@@ -21,6 +21,7 @@ Claim names used throughout:
 from __future__ import annotations
 
 import os
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -81,7 +82,7 @@ class CayleyPair:
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"carrier size must be an integer, not {self.n!r}")
+            raise ValueError(f"carrier size must be an integer, not {reprlib.repr(self.n)}")
         if self.n < 1:
             raise ValueError("carrier size must be at least 1")
         tables = (("h", self.table_h), ("v", self.table_v))
@@ -92,9 +93,10 @@ class CayleyPair:
             for x, row in enumerate(tab):
                 for y, e in enumerate(row):
                     if isinstance(e, bool) or not isinstance(e, int):
-                        raise ValueError(f"table_{name}[{x}][{y}] = {e!r} is not an integer")
+                        raise ValueError(f"table_{name}[{x}][{y}] = {reprlib.repr(e)} is not an integer")
                     if not 0 <= e < self.n:
-                        raise ValueError(f"table_{name}[{x}][{y}] = {e!r} out of range 0..{self.n - 1}")
+                        raise ValueError(f"table_{name}[{x}][{y}] = {reprlib.repr(e)} "
+                                         f"out of range 0..{self.n - 1}")
             object.__setattr__(self, f"table_{name}", tuple(map(tuple, tab)))
 
     @cached_property

@@ -9,6 +9,7 @@ replayed from a start term, optionally with named checkpoints.
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -79,13 +80,13 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
         cls, kind: str, path: tuple[int, ...], index: int, split_first: int, split_second: int
     ):
         if kind not in (ROW, COL):
-            raise MoveError(f"unknown move kind {kind!r}")
+            raise MoveError(f"unknown move kind {reprlib.repr(kind)}")
         # ``type(...) is int`` refuses ``bool``, which would apply as 0 or 1
         if type(path) is not tuple or [k for k in path if type(k) is not int]:
-            raise MoveError(f"move path must be a tuple of ints, not {path!r}")
+            raise MoveError(f"move path must be a tuple of ints, not {reprlib.repr(path)}")
         for name, value in zip(cls._fields[2:], (index, split_first, split_second)):
             if type(value) is not int:
-                raise MoveError(f"move {name} must be an int, not {value!r}")
+                raise MoveError(f"move {name} must be an int, not {reprlib.repr(value)}")
         return tuple.__new__(cls, (kind, path, index, split_first, split_second))
 
     # ``_replace`` builds through ``_make``, which would skip the check
@@ -222,7 +223,8 @@ class ProofScript:
     one reached after replaying that many moves.
 
     Building one is the one check of a script's values, which
-    ``decode_script`` and ``replay`` rely on; ``moves`` is stored as a tuple.
+    ``decode_script`` and ``replay`` rely on; ``moves`` is stored as a tuple
+    and ``checkpoints`` as a dict of its own.
     """
 
     start: Term
@@ -231,22 +233,24 @@ class ProofScript:
 
     def __post_init__(self):
         if not isinstance(self.start, (Leaf, H, V)):
-            raise TermError(f"script start must be a term, not {self.start!r}")
+            raise TermError(f"script start must be a term, not {reprlib.repr(self.start)}")
         moves, checkpoints = self.moves, self.checkpoints
         if not isinstance(moves, (list, tuple)):
             raise MoveError(f"script moves must be a list or tuple, not {type(moves).__name__}")
         for k, m in enumerate(moves):
             if not isinstance(m, Move):
-                raise MoveError(f"moves[{k}] = {m!r} is not a Move")
+                raise MoveError(f"moves[{k}] = {reprlib.repr(m)} is not a Move")
         object.__setattr__(self, "moves", tuple(moves))
         if not isinstance(checkpoints, Mapping):
             raise ValueError(f"checkpoints must be a mapping, not {type(checkpoints).__name__}")
-        for name, prefix in checkpoints.items():
+        object.__setattr__(self, "checkpoints", dict(checkpoints))
+        for name, prefix in self.checkpoints.items():
             if type(name) is not str:
-                raise ValueError(f"checkpoint name {name!r} is not a string")
+                raise ValueError(f"checkpoint name {reprlib.repr(name)} is not a string")
             # ``type(...) is int`` refuses ``bool``, which would encode as ``true``
             if type(prefix) is not int or not 0 <= prefix <= len(moves):
-                raise ValueError(f"checkpoint {name!r} is {prefix!r}, not an int 0..{len(moves)}")
+                raise ValueError(f"checkpoint {reprlib.repr(name)} is {reprlib.repr(prefix)}, "
+                                 f"not an int 0..{len(moves)}")
 
 
 def replay(script: ProofScript) -> list[Term]:

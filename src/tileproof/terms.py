@@ -15,6 +15,7 @@ reads off the labels around the boundary.
 from __future__ import annotations
 
 import re
+import reprlib
 import threading
 import weakref
 from collections import Counter
@@ -62,7 +63,7 @@ class ParseError(TermError):
 
 def _check_label(name: str) -> str:
     if not isinstance(name, str) or _IDENT.fullmatch(name) is None:
-        raise TermError(f"invalid label {name!r}: expected an identifier")
+        raise TermError(f"invalid label {reprlib.repr(name)}: expected an identifier")
     return name
 
 
@@ -451,7 +452,7 @@ def _descend(t: Term, path: Sequence[int], error: type, what: str) -> tuple[list
     ancestors, node = [], t
     for i in path:
         if type(node) is Leaf or not 0 <= i < len(node.children):
-            raise error(f"path {tuple(path)} does not address {what}")
+            raise error(f"path {reprlib.repr(tuple(path))} does not address {what}")
         ancestors.append(node)
         node = node.children[i]
     return ancestors, node
@@ -515,16 +516,21 @@ def layout(t: Term) -> dict[tuple[int, ...], Rect]:
     counts, left to right; a V node divides height the same way, top to
     bottom.  This makes the tiling deterministic and degeneracy-free.
     """
+    return {path: Rect(*box) for path, _, box in _tiles(t)}
+
+
+def _tiles(t: Term) -> Iterator[tuple[tuple[int, ...], str, tuple[Fraction, ...]]]:
+    """Yield ``(path, label, (x0, y0, x1, y1))`` for every leaf, in left-to-right
+    tree order: the tiling that ``layout`` describes, read in one walk."""
     nodes = list(_nodes(t))
     counts: dict[Term, int] = {}  # leaf count per node; children come first
     for _, node in reversed(nodes):
         counts[node] = 1 if type(node) is Leaf else sum(counts[c] for c in node.children)
-    out: dict[tuple[int, ...], Rect] = {}
     box = {(): (Fraction(0), Fraction(0), Fraction(1), Fraction(1))}
     for path, node in nodes:
         x0, y0, x1, y1 = box.pop(path)
         if type(node) is Leaf:
-            out[path] = Rect(x0, y0, x1, y1)
+            yield path, node.label, (x0, y0, x1, y1)
             continue
         # cut from ``start`` towards ``end``: rightwards in an H, down in a V
         across = type(node) is H
@@ -534,7 +540,6 @@ def layout(t: Term) -> dict[tuple[int, ...], Rect]:
             cut = end if i == len(kids) - 1 else start + span * Fraction(counts[c], counts[node])
             box[path + (i,)] = (start, y0, cut, y1) if across else (x0, cut, x1, start)
             start = cut
-    return out
 
 
 def border_word(t: Term) -> tuple[str, ...]:

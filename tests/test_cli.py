@@ -85,11 +85,15 @@ class TestRenderCommand:
         code, out, err = run(["render", "[a b; c d]"])
         assert code == EXIT_OK
         assert out.decode().count("+") >= 9
+        lines = out.decode().splitlines()
+        assert len(lines) == 40 and {len(line) for line in lines} == {80}
 
     def test_svg(self):
         code, out, err = run(["render", "a|b", "--format", "svg", "--width", "100", "--height", "50"])
         assert code == EXIT_OK
         assert out.startswith(b"<?xml") and b"<svg" in out
+        code, out, err = run(["render", "a|b", "--format", "svg"])
+        assert code == EXIT_OK and b'width="640" height="640"' in out
 
     def test_named_only(self):
         code, out, err = run(["render", "[_x a]", "--named-only", "--width", "21", "--height", "5"])
@@ -119,6 +123,22 @@ class TestRenderCommand:
         assert (code, out) == (EXIT_USAGE, b"")
         assert b"exceeds 4,000,000 cells" in err and b"Traceback" not in err
         assert peak < 1_000_000
+
+    def test_drawing_is_pinned(self):
+        # the fourth line's inner ``+`` is a T-junction: the wall between b
+        # and c ends on a's right wall
+        drawing = (
+            "+---+-------+\n"
+            "|   |   b   |\n"
+            "|   |       |\n"
+            "| a +-------+\n"
+            "|   |   c   |\n"
+            "|   |       |\n"
+            "+---+-------+\n"
+        )
+        assert run(["render", "a|(b/c)", "--width", "13", "--height", "7"]) == (
+            EXIT_OK, drawing.encode(), b""
+        )
 
     def test_svg_has_no_canvas_cap(self):
         code, out, err = run(
@@ -186,6 +206,48 @@ class TestProofCommands:
     def test_missing_file_is_exit_2(self):
         code, out, err = run(["verify-proof", "/nonexistent/file.json"])
         assert code == EXIT_USAGE
+
+
+class TestHostileValues:
+    """A value from outside is echoed in an error message only in short.  A
+    full ``repr`` of a list of 200,000 ints is a line of 600 kB."""
+
+    HUGE = [0] * 200_000
+    SHORT = "[0, 0, 0, 0, 0, 0, ...]"
+
+    @pytest.mark.parametrize("field, value, code, line", [
+        ("kind", HUGE, EXIT_USAGE, f"error: unknown move kind {SHORT} at moves[0]"),
+        ("split_first", HUGE, EXIT_USAGE,
+         f"error: move split_first must be an int, not {SHORT} at moves[0]"),
+        ("checkpoints", {"x": HUGE}, EXIT_USAGE,
+         f"error: checkpoint 'x' is {SHORT}, not an int 0..40 at checkpoints"),
+        # every component is a valid 1-based index, so the document decodes
+        # and replay refuses the path
+        ("path", [1] * 200_000, EXIT_NEGATIVE,
+         "invalid proof: move 0 failed: path (0, 0, 0, 0, 0, 0, ...) does not address a node"),
+    ], ids=["kind", "split_first", "checkpoint", "path"])
+    def test_script_document(self, field, value, code, line, tmp_path):
+        path = tmp_path / "swap.json"
+        run(["emit-central-swap", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        (doc if field == "checkpoints" else doc["moves"][0])[field] = value
+        path.write_text(json.dumps(doc))
+        assert run(["verify-proof", str(path)]) == (code, b"", f"{line}\n".encode())
+
+    @pytest.mark.parametrize("doc, line", [
+        ({"n": HUGE, "h": [[0]], "v": [[0]]}, f"error: carrier size must be an integer, not {SHORT}"),
+        ({"n": 1, "h": [[HUGE]], "v": [[0]]}, f"error: table_h[0][0] = {SHORT} is not an integer"),
+    ], ids=["n", "entry"])
+    def test_model_document(self, doc, line, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run(["models", "check", str(path)]) == (EXIT_USAGE, b"", f"{line}\n".encode())
+
+    def test_label(self):
+        labels = ["1" * 100_000] + [f"e{k}" for k in range(15)]
+        assert run(["emit-central-swap", "--labels", *labels, "-o", "-"]) == (
+            EXIT_USAGE, b"", b"error: invalid label '111111111111...1111111111111': expected an identifier\n"
+        )
 
 
 class TestDecisionCommands:

@@ -227,16 +227,20 @@ class TestEnumeration:
         assert list(enumerate_models(1)) == [CayleyPair(1, ((0,),), ((0,),))]
 
     def test_order_2_count_matches_naive_full_scan(self):
-        # the frozen regression value, recomputed by scanning all 256 pairs
-        tables = [
-            tuple(tuple(bits[2 * i : 2 * i + 2]) for i in range(2))
-            for bits in itertools.product(range(2), repeat=4)
-        ]
-        naive = sum(1 for h in tables for v in tables if naive_double_semigroup(h, v, 2))
-        assert naive == LABELED_DOUBLE_SEMIGROUPS[2]
-        models = list(enumerate_models(2))
-        assert len(models) == LABELED_DOUBLE_SEMIGROUPS[2]
-        assert len(set(models)) == len(models)
+        # Orders 2 and 3: the associative tables listed by brute force, and the
+        # pairs of them that the oracle accepts, are the models, in the same
+        # order.  A filter of (h, v) pairs has to reproduce this list.
+        for n in (2, 3):
+            tables = [
+                tuple(tuple(cells[n * i : n * i + n]) for i in range(n))
+                for cells in itertools.product(range(n), repeat=n * n)
+            ]
+            triples = list(itertools.product(range(n), repeat=3))
+            assoc = [h for h in tables if all(h[h[x][y]][z] == h[x][h[y][z]] for x, y, z in triples)]
+            assert len(assoc) == ASSOCIATIVE_TABLES[n]
+            naive = [CayleyPair(n, h, v) for h in assoc for v in assoc if naive_double_semigroup(h, v, n)]
+            assert len(naive) == LABELED_DOUBLE_SEMIGROUPS[n]
+            assert list(enumerate_models(n, max_order=3)) == naive
 
     def test_order_3_regression_count_and_post_hoc_validity(self):
         models = list(enumerate_models(3, max_order=3))

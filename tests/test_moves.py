@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tileproof.formats import decode_script, encode_script
 from tileproof.moves import (
     COL,
     ROW,
@@ -289,6 +290,15 @@ class TestScriptConstructor:
         script = ProofScript(self.term, [self.move])
         assert script.moves == (self.move,) and type(script.moves) is tuple
         assert script == ProofScript(self.term, (self.move,))
+
+    def test_checkpoints_are_copied(self):
+        # a name added to the caller's dict afterwards would skip the check,
+        # and an int name next to a str one made encode_script raise TypeError
+        checkpoints = {"start": 0}
+        script = ProofScript(self.term, (), checkpoints)
+        checkpoints[3] = True
+        assert script.checkpoints == {"start": 0}
+        assert decode_script(encode_script(script)) == script
 
     @pytest.mark.parametrize(
         "checkpoints,message",
