@@ -16,6 +16,7 @@ import argparse
 import functools
 import io
 import json
+import reprlib
 import sys
 
 from . import decision, formats, models
@@ -116,7 +117,8 @@ def _build_parser() -> _Parser:
 
 def _parse_cli_path(t, text: str) -> tuple[int, ...]:
     """A path argument of ``t``: 1-based child indices, '.' for the root.
-    Errors name the path as typed, not in the library's 0-based form."""
+    Errors name the path as typed, not in the library's 0-based form, and
+    cut it, or a bad component, to about 30 characters."""
     text = text.strip()
     if text in ("", "."):
         return ()
@@ -125,14 +127,15 @@ def _parse_cli_path(t, text: str) -> tuple[int, ...]:
         try:
             k = int(piece)
         except ValueError:
-            raise TermError(f"bad path component {piece!r}")
+            raise TermError(f"bad path component {reprlib.repr(piece)}")
         if k < 1:
             raise TermError("path components are 1-based")
         out.append(k - 1)
     try:
         subterm_at(t, out)
     except TermError:
-        raise TermError(f"path {text} does not address a subterm") from None
+        shown = text if len(text) <= 30 else f"{text[:27]}..."
+        raise TermError(f"path {shown} does not address a subterm") from None
     return tuple(out)
 
 

@@ -56,8 +56,8 @@ class Unknown:
 
 Verdict = Union[Equal, Distinct, Unknown]
 
-# The most states a search may visit.  A search keeps about 0.5 KB per
-# visited state, so this cap holds it near 1 GB.
+# The most states a search may visit.  A search keeps about 0.45 KB per
+# visited state, so this cap holds it under 1 GB.
 MAX_BUDGET = 2_000_000
 
 
@@ -102,17 +102,21 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
         return Distinct(closure_size=0)
 
     # Parent maps, indexed by side: 0 is side a, from t1; 1 is side b, from
-    # t2.  Each maps term -> (predecessor, move applied at the predecessor).
-    seen: tuple[dict[Term, Optional[tuple[Term, Move]]], ...] = ({t1: None}, {t2: None})
+    # t2.  Each maps a term to its predecessor; ``_chain`` finds the moves
+    # again.
+    seen: tuple[dict[Term, Optional[Term]], ...] = ({t1: None}, {t2: None})
     frontiers = [[t1], [t2]]
     explored = 2
     if budget < explored:
         return Unknown(explored=explored, budget=budget)
 
     # Side a's layers that side b has not mirrored yet, from side b's current
-    # one.  Side b never gets ahead: at equal depths the frontiers are equal
-    # in size, and side b has just moved, so the tie goes to side a.
-    unmirrored = deque([frontiers[0]]) if _relabels(t1, t2) else None
+    # one, each with the moves that built its terms (one object per distinct
+    # move, from ``shared``).  Side b never gets ahead: at equal depths the
+    # frontiers are equal in size, and side b has just moved, so the tie goes
+    # to side a.
+    unmirrored = deque([(frontiers[0], [])]) if _relabels(t1, t2) else None
+    shared: dict[Move, Move] = {}
     side = 1  # so the first tie expands side a
     while True:
         len_a, len_b = map(len, frontiers)
@@ -121,18 +125,23 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
         if not frontier:
             return Distinct(closure_size=len(own))
         next_frontier: list[Term] = []
+        taken = None
         if unmirrored is not None and side == 1:
-            layer = _mirror(unmirrored.popleft(), unmirrored[0], frontier, seen[0])
+            a_layer, _ = unmirrored.popleft()
+            layer = _mirror(a_layer, *unmirrored[0], frontier, seen[0])
         else:
             layer = _expand(frontier, own)
             if unmirrored is not None:
-                unmirrored.append(next_frontier)
+                taken = []
+                unmirrored.append((next_frontier, taken))
         for t, m, u in layer:
             if explored == budget:
                 return Unknown(explored=explored, budget=budget)
             explored += 1
-            own[u] = (t, m)
+            own[u] = t
             next_frontier.append(u)
+            if taken is not None:
+                taken.append(shared.setdefault(m, m))
             if u in other:
                 return Equal(_stitch(t1, u, seen))
         frontiers[side] = next_frontier
@@ -165,17 +174,17 @@ def _relabels(t1: Term, t2: Term) -> bool:
 def _mirror(
     a_layer: list[Term],
     a_next: list[Term],
+    a_moves: list[Move],
     b_layer: list[Term],
-    seen_a: dict[Term, Optional[tuple[Term, Move]]],
+    seen_a: dict[Term, Optional[Term]],
 ) -> Iterator[tuple[Term, Move, Term]]:
     """Side b's next layer when ``t2`` renames ``t1``: ``b_layer`` renames
     ``a_layer`` term by term, so each new term of side a's next layer, built
     by ``m`` from ``t``, has its renaming built by ``m`` from ``t``'s.  Yields
     what ``_expand(b_layer, seen_b)`` would, in the same order."""
     renamed = dict(zip(a_layer, b_layer))
-    for u in a_next:
-        t, m = seen_a[u]
-        s = renamed[t]
+    for u, m in zip(a_next, a_moves):
+        s = renamed[seen_a[u]]
         yield s, m, apply_move(s, m)
 
 
@@ -183,8 +192,7 @@ def _stitch(t1, meet, seen) -> ProofScript:
     """Assemble the t1 -> t2 script through the meeting term.
 
     Forward edges come straight from side a's parent chain; side b's chain
-    is walked from the meeting point back to t2 by inverting each recorded
-    move.
+    is walked from the meeting point back to t2 by inverting each move.
     """
     forward = [m for _, m in _chain(seen[0], meet)]
     forward.reverse()
@@ -193,11 +201,17 @@ def _stitch(t1, meet, seen) -> ProofScript:
 
 
 def _chain(seen, u) -> Iterator[tuple[Term, Move]]:
-    """Yield the recorded ``(parent, move)`` edges from ``u`` back to the
-    root of its side."""
-    while (edge := seen[u]) is not None:
-        yield edge
-        u = edge[0]
+    """Yield ``(parent, move)`` for each recorded edge from ``u`` back to
+    the root of its side.
+
+    The move is found again: the first in enumeration order whose result is
+    the child.  That is the move the search took, because a term is
+    recorded from its first parent, by the first of that parent's moves
+    that reaches it, and a mirrored side renames side a's moves in order.
+    """
+    while (parent := seen[u]) is not None:
+        yield parent, next(m for m in enumerate_moves(parent) if apply_move(parent, m) is u)
+        u = parent
 
 
 def move_closure(t: Term, budget: int = MAX_BUDGET) -> frozenset[Term]:

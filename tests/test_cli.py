@@ -249,6 +249,13 @@ class TestHostileValues:
             EXIT_USAGE, b"", b"error: invalid label '111111111111...1111111111111': expected an identifier\n"
         )
 
+    @pytest.mark.parametrize("path, line", [
+        ("1," + "x" * 100_000, b"error: bad path component 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+        (",".join(["1"] * 50_000), b"error: path 1,1,1,1,1,1,1,1,1,1,1,1,1,1... does not address a subterm\n"),
+    ], ids=["component", "path"])
+    def test_path_argument(self, path, line):
+        assert run(["prove-swap", "[a b; c d]", path, "1,2", "--budget", "5"]) == (EXIT_USAGE, b"", line)
+
 
 class TestDecisionCommands:
     def test_equal_distinct(self):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from tileproof.decision import (
     find_swap_proof,
     move_closure,
 )
+from tileproof.formats import encode_script
 from tileproof.moves import apply_move, enumerate_moves, replay
 from tileproof.terms import (
     Leaf,
@@ -310,3 +312,65 @@ class TestMirroredSearch:
         verdict = equal_exhaustive(start, swap_leaves(start, (0, 0), (0, 2)), 10_000)
         assert verdict == Distinct(closure_size=118)
         assert counts == {"enumerate": 118, "apply": 455, "cat": 910}
+
+
+class TestPinnedSearch:
+    """Verdicts and Equal script bytes of a seeded battery, pinned by one
+    sha256: relabelings (mirrored) and other pairs, labels that repeat,
+    budgets that run out and budgets that decide, and the 4x4 central swap.
+    An Equal script is only one of the shortest, so its bytes pin the move
+    order and the parents the search keeps."""
+
+    DIGEST = "b96a5e1705a480f1255a0fd99f0b927b83f56728ef2ee206e032d9d3e23b4dec"
+
+    @staticmethod
+    def battery():
+        rng = random.Random(1515)
+        cases = []
+        for _ in range(150):
+            t1 = random_term(rng, max_leaves=8, min_leaves=3)
+            if rng.random() < 0.4:
+                labels = sorted(leaf_multiset(t1))
+                image = labels[:]
+                rng.shuffle(image)
+                t2 = relabel(t1, dict(zip(labels, image)))
+            else:
+                t2 = t1
+                for _ in range(rng.randint(1, 6)):
+                    moves_here = list(enumerate_moves(t2))
+                    if moves_here:
+                        t2 = apply_move(t2, rng.choice(moves_here))
+                if rng.random() < 0.3:
+                    p1, p2 = rng.sample([p for p, _ in leaf_paths(t2)], 2)
+                    t2 = swap_leaves(t2, p1, p2)
+            cases.append((t1, t2, rng.choice([1, 3, 10, 40, 200, 100_000])))
+        grid = from_grid([list("abcd"), list("efgh"), list("ijkl")])
+        repeats = from_grid([list("abab"), list("cdcd"), list("abab")])
+        cases += [(grid, swap_leaves(grid, (1, 1), (1, 2)), b) for b in (50, 5_000, 100_000)]
+        cases += [(grid, swap_leaves(grid, (0, 0), (2, 3)), 100_000)]
+        cases += [(repeats, swap_leaves(repeats, (1, 1), (1, 2)), b) for b in (50, 100_000)]
+        cases += [(repeats, swap_leaves(repeats, (0, 0), (1, 0)), 100_000)]
+        rows = [list(BORDER[:4]), [BORDER[4], "a", "b", BORDER[5]],
+                [BORDER[6], "c", "d", BORDER[7]], list(BORDER[8:])]
+        swap = from_grid(rows)
+        cases.append((swap, swap_leaves(swap, (1, 1), (1, 2)), 100_000))
+        return cases
+
+    def test_verdicts_and_script_bytes(self):
+        digest = hashlib.sha256()
+        kinds = Counter()
+        for t1, t2, budget in self.battery():
+            verdict = equal_exhaustive(t1, t2, budget)
+            kinds[decision._relabels(t1, t2), type(verdict).__name__] += 1
+            if isinstance(verdict, Equal):
+                assert replay(verdict.script)[-1] is t2
+                digest.update(encode_script(verdict.script))
+            else:
+                digest.update(repr(verdict).encode())
+            digest.update(b"\0")
+        assert isinstance(verdict, Equal) and len(verdict.script.moves) == 14  # the 4x4 swap
+        assert kinds == {
+            (True, "Equal"): 59, (True, "Distinct"): 47, (True, "Unknown"): 6,
+            (False, "Equal"): 21, (False, "Distinct"): 13, (False, "Unknown"): 12,
+        }
+        assert digest.hexdigest() == self.DIGEST
