@@ -116,15 +116,18 @@ def _build_parser() -> _Parser:
 
 
 def _parse_cli_path(t, text: str) -> tuple[int, ...]:
-    """A path argument of ``t``: 1-based child indices, '.' for the root.
-    Errors name the path as typed, not in the library's 0-based form, and
-    cut it, or a bad component, to about 30 characters."""
+    """A path argument of ``t``: 1-based child indices in ASCII digits, '.'
+    for the root.  Errors name the path as typed, not in the library's
+    0-based form, and cut it, or a bad component, to about 30 characters."""
     text = text.strip()
     if text in ("", "."):
         return ()
     out = []
     for piece in text.split(","):
         try:
+            # int() alone would also take '+1', '1_1' and non-ASCII digits
+            if not (piece.isascii() and piece.isdigit()):
+                raise ValueError(piece)
             k = int(piece)
         except ValueError:
             raise TermError(f"bad path component {reprlib.repr(piece)}")

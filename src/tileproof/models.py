@@ -16,6 +16,14 @@ Claim names used throughout:
   L   in inverse models the two inverse operations commute
   P   inverse models are commutative, and A*B * inv(A)*inv(B) * A*B = A*B
       holds in both operations
+
+In a finite model, a cancellative or bicancellable element c forces a
+two-sided unit in each operation.  In that operation some power of c is an
+idempotent e, and e is cancellable (every power of c is, for
+``has_bicancellable_element``; every element is, for ``is_cancellative``).
+Then e*(e*x) = e*x gives e*x = x, and (x*e)*e = x*e gives x*e = x.  So
+every model that C1 or C2 applies to is unital: the finite scan checks them
+only on models that EH covers too.
 """
 
 from __future__ import annotations

@@ -17,11 +17,11 @@ from __future__ import annotations
 import re
 import reprlib
 import threading
-import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain
+from sys import getrefcount
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -70,55 +70,64 @@ def _check_label(name: str) -> str:
 # Hash-consing: every distinct term exists once per process.  The public
 # constructors and ``_cat`` return the live object when there is one, so
 # ``==`` and ``hash`` are the default identity ones, O(1) and not recursive.
-# Each class maps a key (label or children tuple) to a weak reference, and a
-# dying term removes its own entry, so the tables hold only live terms.
+# A class's table holds each term strongly under its label or children.
 # Lookups take no lock; a miss re-checks and inserts under ``_intern_lock``,
-# so two threads never create two copies of one term.  The lock is
-# re-entrant because a term can die, and drop its entry, inside ``_intern``.
-# A ``weakref.WeakValueDictionary`` would do the same, but its lookups and
-# inserts run in Python, which made building new terms about a third slower.
-_intern_lock = threading.RLock()
+# so no two threads make two copies of a term.  Once the tables have doubled
+# since the last sweep, the next miss first drops what only a table holds.
+_intern_lock = threading.Lock()
+_room = 4096  # misses until the next sweep, which sets it to the terms it keeps
 
 
-class _Ref(weakref.ref):
-    """A table entry: a weak reference that knows its key."""
+def _lone_count(table={0: object()}) -> int:
+    """What ``_sweep_all`` reads for a term that only its table holds."""
+    t = table[0]
+    return getrefcount(t)
 
-    __slots__ = ("key",)
+
+_LONE = _lone_count()
+
+
+def _sweep_all() -> None:
+    """Drop every term that only its table holds, then recount its children."""
+    global _room
+    with _intern_lock:
+        work = [u for kind in (H, V, Leaf) for u in kind._table.values()]
+        while work:
+            t = work.pop()
+            if getrefcount(t) > _LONE:
+                continue
+            key = t.label if (cls := type(t)) is Leaf else t.children
+            del cls._table[key]  # a reader that misses now waits on the lock
+            if getrefcount(t) >= _LONE:  # a reader took it between the counts
+                cls._table[key] = t
+            elif cls is not Leaf:
+                work += key  # its children, to count again once it is gone
+            key = t = None  # its last references here, before the children's counts
+        _room = max(len(Leaf._table) + len(H._table) + len(V._table), 4096)
 
 
 def _intern(cls: type, key):
     """The live ``cls`` object whose one field is ``key``, created if there is
     none.  This is the trusted constructor: ``key`` is not checked."""
-    ref = cls._table.get(key)
-    t = ref() if ref is not None else None
+    global _room
+    t = cls._table.get(key)
     if t is None:
+        if _room <= 0:
+            _sweep_all()
         with _intern_lock:
-            ref = cls._table.get(key)
-            t = ref() if ref is not None else None
+            t = cls._table.get(key)
             if t is None:
+                _room -= 1
                 t = object.__new__(cls)
                 cls._field.__set__(t, key)
-                ref = _Ref(t, cls._forget)
-                ref.key = key
-                cls._table[key] = ref
+                cls._table[key] = t
     return t
 
 
 class _Interned:
-    """Immutable slots; copies and pickles resolve to the interned object.
-    Each subclass has its own intern table."""
+    """Immutable slots; copies and pickles resolve to the interned object."""
 
-    __slots__ = ("__weakref__",)
-
-    def __init_subclass__(cls):
-        table = cls._table = {}
-
-        def forget(ref):
-            with _intern_lock:
-                if table.get(ref.key) is ref:
-                    del table[ref.key]
-
-        cls._forget = forget
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -190,6 +199,7 @@ class V(_Run):
     sep, noun = "/", "a V"
 
 
+Leaf._table, H._table, V._table = {}, {}, {}  # the intern tables
 Term = Union[Leaf, H, V]
 
 

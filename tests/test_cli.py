@@ -313,6 +313,10 @@ class TestDecisionCommands:
         (".", b"error: both paths must address leaves\n"),  # the root, a run here
         ("1,x", b"error: bad path component 'x'\n"),
         ("0", b"error: path components are 1-based\n"),
+        # int() would read these as 1, 1 and 11
+        ("+1,2", b"error: bad path component '+1'\n"),
+        ("\u0661,\u0662", "error: bad path component '\u0661'\n".encode()),
+        ("1_1", b"error: bad path component '1_1'\n"),
     ])
     def test_prove_swap_path_arguments(self, path, message):
         assert run(["prove-swap", "[a b; c d]", path, "1,2", "--budget", "5"]) == (

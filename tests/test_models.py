@@ -148,6 +148,18 @@ class TestPredicates:
         k = unit_report(k_combinator())
         assert k.unit_h is None and k.unit_v is None
 
+    def test_cancellation_forces_both_units_up_to_order_3(self):
+        # the argument of the models docstring: some power of a cancellable
+        # element is a cancellable idempotent, and that is the unit
+        forced = 0
+        for n in (1, 2, 3):
+            for m in enumerate_models(n):
+                if is_cancellative(m) or has_bicancellable_element(m) is not None:
+                    u = unit_report(m)
+                    assert u.unit_h is not None and u.unit_v is not None, m
+                    forced += 1
+        assert forced == 32  # C2's checked count up to order 3
+
     def test_list_built_tables_work_in_every_predicate(self):
         m = CayleyPair(2, [[0, 1], [1, 0]], [[0, 1], [1, 0]])
         assert is_commutative(m) == is_commutative(xor_pair())

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tileproof import terms
 from tileproof.terms import (
     H,
     Leaf,
@@ -158,6 +159,9 @@ class TestConstructors:
 
 
 def _node_table_size():
+    """Runs in the tables after a sweep: a count shows that no dead term
+    outlives one."""
+    terms._sweep_all()
     return len(H._table) + len(V._table)
 
 
@@ -206,7 +210,9 @@ class TestInterning:
         # Every round builds the same terms.  Even rounds start in lockstep,
         # so threads miss the same keys together; odd rounds start as each
         # thread drops its copies, so the last round's terms die while
-        # faster threads are already re-interning them.
+        # faster threads are already re-interning them.  One more thread
+        # sweeps the tables all the while, so the sweep counts and drops
+        # terms that the others are taking lock-free.
         threads, rounds = 8, 14
         labels = [[f"th{4 * i + j}" for j in range(4)] for i in range(4)]
         results = [None] * threads
@@ -226,22 +232,74 @@ class TestInterning:
                 compared.wait()
                 results[k] = layer = None
 
+        def sweep():
+            while not done.is_set():
+                terms._sweep_all()
+
         gc.collect()
         before = _node_table_size()
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        sweeper, done = threading.Thread(target=sweep), threading.Event()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
-            for w in workers:
+            for w in [*workers, sweeper]:
                 w.start()
             for w in workers:
                 w.join(timeout=120)
         finally:
+            done.set()
+            sweeper.join(timeout=60)
             sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
+        assert not any(w.is_alive() for w in [*workers, sweeper])
         assert same == [[True] * rounds] * threads
         gc.collect()
         assert _node_table_size() <= before
+
+    def test_sweep_reads_the_calibrated_count_of_a_lone_term(self, monkeypatch):
+        # one below the import-time count keeps a term that only its table
+        # holds, and the count itself drops it: the sweep reads exactly it
+        key = hcat([Leaf("lone0"), Leaf("lone1")]).children
+        for lone, kept in ((terms._LONE - 1, True), (terms._LONE, False)):
+            monkeypatch.setattr(terms, "_LONE", lone)
+            terms._sweep_all()
+            assert (key in H._table) is kept
+
+    def test_sweep_puts_back_a_term_taken_between_its_counts(self, monkeypatch):
+        # a lock-free reader takes the term just after the sweep has counted
+        # it lone; the recount after the delete sees the reader
+        key = hcat([Leaf("taken0"), Leaf("taken1")]).children
+        taken = []
+
+        def getrefcount(o):
+            n = sys.getrefcount(o)
+            if type(o) is H and o.children is key and not taken:
+                taken.append(o)
+            return n
+
+        monkeypatch.setattr(terms, "getrefcount", getrefcount)
+        monkeypatch.setattr(terms, "_LONE", terms._lone_count())
+        terms._sweep_all()
+        monkeypatch.undo()
+        assert taken and taken[0] is hcat([Leaf("taken0"), Leaf("taken1")])
+
+    def test_sweep_keeps_a_term_held_outside(self):
+        held = t("(held0|held1)/held2")
+        terms._sweep_all()
+        assert held is t("(held0|held1)/held2")
+        assert held.children[0] is t("held0|held1") and held.children[1] is Leaf("held2")
+
+    def test_one_sweep_frees_a_dropped_deep_term(self):
+        gc.collect()
+        before = _node_table_size()
+        term = Leaf("deep")
+        for k in range(2000):
+            term = (hcat, vcat)[k % 2]([term, Leaf(f"deep{k}")])
+        assert len(H._table) + len(V._table) >= before + 2000
+        del term
+        terms._sweep_all()
+        assert len(H._table) + len(V._table) <= before
+        assert not {"deep", *(f"deep{k}" for k in range(2000))} & Leaf._table.keys()
 
     def test_deep_terms_hash_and_compare_without_recursion(self):
         def deep(label):
