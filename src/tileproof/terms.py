@@ -434,26 +434,32 @@ def grid_labels(border: Sequence[str], middle: Sequence[str]) -> list[list[str]]
     ]
 
 
-def _nodes(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """Yield ``(path, node)`` for every node in preorder, left to right.  The
-    walk keeps its own stack, so it takes terms of any depth."""
-    stack = [((), t)]
+def _nodes(t: Term) -> Iterator[Term]:
+    """Yield every node in preorder, left to right.  The walk keeps its own
+    stack, so it takes terms of any depth."""
+    stack = [t]
     while stack:
-        path, node = stack.pop()
-        yield path, node
+        node = stack.pop()
+        yield node
         if type(node) is not Leaf:
-            kids = node.children
-            stack += [(path + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1)]
+            stack += reversed(node.children)
 
 
 def leaf_multiset(t: Term) -> Counter:
     """Multiset of leaf labels (a ``collections.Counter``)."""
-    return Counter(label for _, label in leaf_paths(t))
+    return Counter(node.label for node in _nodes(t) if type(node) is Leaf)
 
 
 def leaf_paths(t: Term) -> Iterator[tuple[tuple[int, ...], str]]:
     """Yield ``(path, label)`` for every leaf, in left-to-right tree order."""
-    return ((path, node.label) for path, node in _nodes(t) if type(node) is Leaf)
+    path, stack = [], [(0, (), t)]  # (the length of the parent's path, the node's index, node)
+    while stack:
+        depth, index, node = stack.pop()
+        path[depth:] = index
+        if type(node) is Leaf:
+            yield tuple(path), node.label
+        else:
+            stack += reversed([(len(path), (i,), c) for i, c in enumerate(node.children)])
 
 
 def _descend(t: Term, path: Sequence[int], error: type, what: str) -> tuple[list[Term], Term]:
@@ -532,24 +538,25 @@ def layout(t: Term) -> dict[tuple[int, ...], Rect]:
 def _tiles(t: Term) -> Iterator[tuple[tuple[int, ...], str, tuple[Fraction, ...]]]:
     """Yield ``(path, label, (x0, y0, x1, y1))`` for every leaf, in left-to-right
     tree order: the tiling that ``layout`` describes, read in one walk."""
-    nodes = list(_nodes(t))
-    counts: dict[Term, int] = {}  # leaf count per node; children come first
-    for _, node in reversed(nodes):
+    counts: dict[Term, int] = {}  # leaf count per node; reversed preorder counts children first
+    for node in reversed(list(_nodes(t))):
         counts[node] = 1 if type(node) is Leaf else sum(counts[c] for c in node.children)
-    box = {(): (Fraction(0), Fraction(0), Fraction(1), Fraction(1))}
-    for path, node in nodes:
-        x0, y0, x1, y1 = box.pop(path)
+    path, stack = [], [(0, (), t, (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))]
+    while stack:
+        depth, index, node, (x0, y0, x1, y1) = stack.pop()
+        path[depth:] = index  # as in ``leaf_paths``
         if type(node) is Leaf:
-            yield path, node.label, (x0, y0, x1, y1)
+            yield tuple(path), node.label, (x0, y0, x1, y1)
             continue
         # cut from ``start`` towards ``end``: rightwards in an H, down in a V
         across = type(node) is H
         start, end = (x0, x1) if across else (y1, y0)
-        span, kids = end - start, node.children
+        span, kids, parts = end - start, node.children, []
         for i, c in enumerate(kids):
             cut = end if i == len(kids) - 1 else start + span * Fraction(counts[c], counts[node])
-            box[path + (i,)] = (start, y0, cut, y1) if across else (x0, cut, x1, start)
+            parts.append((len(path), (i,), c, (start, y0, cut, y1) if across else (x0, cut, x1, start)))
             start = cut
+        stack += reversed(parts)
 
 
 def border_word(t: Term) -> tuple[str, ...]:
@@ -557,34 +564,33 @@ def border_word(t: Term) -> tuple[str, ...]:
     counter-clockwise starting from the leaf that contains the bottom-left
     corner.  Each border leaf appears exactly once.
 
-    Moves keep the word, leaf for leaf and not only up to rotation.  Call
-    top(t) and bottom(t) the leaves along those sides from left to right, and
-    left(t) and right(t) the leaves along those sides from top to bottom.
-    Each child of an H node spans the node's full height, and each child of
-    a V node its full width.  So the words of ``H(c1, ..., ck)`` are top =
-    top(c1)···top(ck), bottom = bottom(c1)···bottom(ck), left = left(c1) and
-    right = right(ck), dually for V, and a leaf is its own four words.  One
-    bottom-up pass builds them, and the word is bottom, then right and top
-    reversed, then left, keeping each leaf at its first appearance, so it
-    depends only on the four words.  An interchange keeps them: ``(x|y)/(z|w)``
-    and ``(x/z)|(y/w)`` both have top = top(x)·top(y), bottom =
-    bottom(z)·bottom(w), left = left(x)·left(z) and right = right(y)·right(w).
-    A node's words depend only on its children's, and flattening only
-    regroups concatenations, so the root keeps its four words too.
+    Read top(t) and bottom(t) left to right, left(t) and right(t) top to
+    bottom; the word is bottom, then right and top reversed, then left, each
+    leaf kept at its first appearance.  One top-down pass hands each node
+    the sides it touches: every child of an H keeps top and bottom, only the
+    first keeps left and only the last right, dually for V.  Tree order is
+    each side's reading order, and leaves are named by their position.
+
+    Moves keep the word, leaf for leaf and not only up to rotation.  By that
+    rule a node's four words join its children's, and ``(x|y)/(z|w)`` and
+    ``(x/z)|(y/w)`` both have top = top(x)·top(y), bottom = bottom(z)·bottom(w),
+    left = left(x)·left(z) and right = right(y)·right(w).  Flattening only
+    regroups the joins, so the root keeps its four words.
     """
-    join = chain.from_iterable
-    labels, done = {}, []  # leaf path -> label; (top, bottom, left, right) per finished node
-    for path, node in reversed(list(_nodes(t))):
+    sides = ([], [], [], [])  # top, bottom, left, right: leaf positions in tree order
+    labels, stack = [], [(t, 0b1111)]  # bit k set: the node touches ``sides[k]``
+    while stack:
+        node, touch = stack.pop()
         if type(node) is Leaf:
-            labels[path] = node.label
-            done.append(((path,),) * 4)
+            for k, side in enumerate(sides):
+                if touch >> k & 1:
+                    side.append(len(labels))
+            labels.append(node.label)
             continue
-        # reversed preorder finishes the children last to first, so they pop first to last
-        tops, bottoms, lefts, rights = zip(*[done.pop() for _ in node.children])
-        if type(node) is H:
-            done.append((tuple(join(tops)), tuple(join(bottoms)), lefts[0], rights[-1]))
-        else:
-            done.append((tops[0], bottoms[-1], tuple(join(lefts)), tuple(join(rights))))
-    top, bottom, left, right = done.pop()
+        keep, first, last = (0b0011, 0b0100, 0b1000) if type(node) is H else (0b1100, 0b0001, 0b0010)
+        kids, inner = node.children, touch & keep
+        touches = [inner | touch & first] + [inner] * (len(kids) - 2) + [inner | touch & last]
+        stack += [(c, s) for c, s in zip(reversed(kids), reversed(touches)) if s]
+    top, bottom, left, right = sides
     ring = dict.fromkeys(chain(bottom, reversed(right), reversed(top), left))
-    return tuple(labels[path] for path in ring)
+    return tuple(labels[k] for k in ring)

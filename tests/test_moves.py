@@ -366,6 +366,13 @@ class TestTrustedKernel:
             for m in enumerate_moves(term):
                 assert apply_move(apply_move(term, m), invert_move(term, m)) is term
 
+    def test_no_two_moves_of_a_term_reach_one_successor(self, closure_3x3, grid_3x4_sample):
+        # so the first move from a child back to its parent, which ``decision._stitch``
+        # takes on side b, is the inverse of the move the search took
+        for term in [*closure_3x3, *grid_3x4_sample[1]]:
+            successors = [apply_move(term, m) for m in enumerate_moves(term)]
+            assert len(set(successors)) == len(successors)
+
     def test_enumerated_moves_equal_checked_ones(self, closure_3x3):
         for term in closure_3x3:
             for m in enumerate_moves(term):

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -339,6 +340,20 @@ class TestInterning:
         assert dict(leaf_paths(swapped)) == {**dict(paths), a_path: "x1999", (1,): "a"}
         assert swap_leaves(swapped, a_path, (1,)) is term
         assert render_svg(term, RenderOptions(640, 640)).count(b"<rect ") == levels + 4
+
+    def test_walks_that_return_no_paths_build_none(self):
+        # a path tuple per node costs nodes x depth: 73 and 36 MB on CPython 3.11
+        term = t("(a|b)/(c|d)")
+        for k in range(3000):
+            term = (hcat, vcat)[k % 2]([term, Leaf(f"x{k}")])
+        for walk in (border_word, leaf_multiset):
+            tracemalloc.start()
+            try:
+                walk(term)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, walk.__name__
 
 
 class TestLeafOps:
