@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Optional, Sequence, Union
 
 from .moves import Move, ProofScript, apply_move, enumerate_moves
-from .terms import Term, border_word, leaf_multiset, leaf_paths, swap_leaves
+from .terms import Leaf, Term, _nodes, border_word, leaf_multiset, swap_leaves
 
 __all__ = [
     "Equal",
@@ -159,13 +159,14 @@ def _expand(frontier: list[Term], seen: Collection[Term]) -> Iterator[tuple[Term
 
 
 def _relabels(t1: Term, t2: Term) -> bool:
-    """Whether ``t2`` is ``t1`` with its labels renamed one-to-one.  The leaf
-    paths and the root's direction fix the shape of a flattened term."""
-    if type(t1) is not type(t2):
-        return False
+    """Whether ``t2`` is ``t1`` with its labels renamed one-to-one.  Node classes and arities in
+    preorder fix a flattened term's shape, so two walks that agree on them end together."""
     renaming: dict[str, str] = {}
-    for (p1, a), (p2, b) in zip(leaf_paths(t1), leaf_paths(t2)):
-        if p1 != p2 or renaming.setdefault(a, b) != b:
+    for a, b in zip(_nodes(t1), _nodes(t2)):
+        if type(a) is Leaf and type(b) is Leaf:
+            if renaming.setdefault(a.label, b.label) != b.label:
+                return False
+        elif type(a) is not type(b) or len(a.children) != len(b.children):
             return False
     return len(set(renaming.values())) == len(renaming)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any
 
 from .models import CayleyPair, ClaimsReport
@@ -87,10 +88,11 @@ def _expect(cond: bool, message: str, location: str):
         raise CodecError(message, location)
 
 
-def _decode_index(value: Any, location: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), "expected an integer", location)
-    _expect(value >= 1, "indices are 1-based and must be >= 1", location)
-    return value - 1
+def _bad_index(value: Any, location: str) -> CodecError:
+    """The error for a move number that is not an integer of at least 1."""
+    if type(value) is not int:  # JSON gives ``bool`` for true and false
+        return CodecError("expected an integer", location)
+    return CodecError("indices are 1-based and must be >= 1", location)
 
 
 def decode_script(data: bytes) -> ProofScript:
@@ -109,22 +111,29 @@ def decode_script(data: bytes) -> ProofScript:
 
     raw_moves = doc["moves"]
     _expect(isinstance(raw_moves, list), "expected a list", "moves")
-    moves = []
+    moves, fields = [], itemgetter(*Move._fields)  # a check formats its location only on failure
     for k, raw in enumerate(raw_moves):
-        loc = f"moves[{k}]"
-        _expect(isinstance(raw, dict), "expected an object", loc)
-        for key in ("kind", "path", "index", "split_first", "split_second"):
-            _expect(key in raw, f"missing key {key!r}", loc)
-        _expect(isinstance(raw["path"], list), "expected a list", f"{loc}.path")
-        path = tuple(_decode_index(p, f"{loc}.path[{i}]") for i, p in enumerate(raw["path"]))
-        index = _decode_index(raw["index"], f"{loc}.index")
+        if type(raw) is not dict:
+            raise CodecError("expected an object", f"moves[{k}]")
+        try:  # the first key missing, in field order
+            kind, path, index, split_first, split_second = fields(raw)
+        except KeyError as exc:
+            raise CodecError(f"missing key {exc.args[0]!r}", f"moves[{k}]") from None
+        if type(path) is not list:
+            raise CodecError("expected a list", f"moves[{k}].path")
+        for i, p in enumerate(path):
+            if type(p) is not int or p < 1:
+                raise _bad_index(p, f"moves[{k}].path[{i}]")
+        if type(index) is not int or index < 1:
+            raise _bad_index(index, f"moves[{k}].index")
         for key in ("split_first", "split_second"):
-            s = raw[key]
-            _expect(type(s) is not int or s >= 1, "splits must be >= 1", f"{loc}.{key}")
+            if type(raw[key]) is int and raw[key] < 1:
+                raise CodecError("splits must be >= 1", f"moves[{k}].{key}")
+        path = tuple([p - 1 for p in path])
         try:
-            moves.append(Move(raw["kind"], path, index, raw["split_first"], raw["split_second"]))
+            moves.append(Move(kind, path, index - 1, split_first, split_second))
         except ValueError as exc:
-            raise CodecError(str(exc), loc) from exc
+            raise CodecError(str(exc), f"moves[{k}]") from exc
 
     try:
         return ProofScript(start, moves, doc.get("checkpoints", {}))

@@ -81,12 +81,14 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
     ):
         if kind not in (ROW, COL):
             raise MoveError(f"unknown move kind {reprlib.repr(kind)}")
-        # ``type(...) is int`` refuses ``bool``, which would apply as 0 or 1
-        if type(path) is not tuple or [k for k in path if type(k) is not int]:
-            raise MoveError(f"move path must be a tuple of ints, not {reprlib.repr(path)}")
-        for name, value in zip(cls._fields[2:], (index, split_first, split_second)):
-            if type(value) is not int:
-                raise MoveError(f"move {name} must be an int, not {reprlib.repr(value)}")
+        # ``type(...) is int`` refuses ``bool``; a path that is not a tuple fails as a non-int
+        for k in path if type(path) is tuple else (None,):
+            if type(k) is not int:
+                raise MoveError(f"move path must be a tuple of ints, not {reprlib.repr(path)}")
+        if type(index) is not int or type(split_first) is not int or type(split_second) is not int:
+            for name, value in zip(cls._fields[2:], (index, split_first, split_second)):
+                if type(value) is not int:
+                    raise MoveError(f"move {name} must be an int, not {reprlib.repr(value)}")
         return tuple.__new__(cls, (kind, path, index, split_first, split_second))
 
     # ``_replace`` builds through ``_make``, which would skip the check
@@ -97,25 +99,26 @@ def _locate(t: Term, m: Move) -> tuple[list[Term], Term, Term, Term]:
     """Validate ``m`` against ``t`` in one walk down ``m.path``; return the
     ancestors passed (root first), the ambient node and the two adjacent
     children the move merges."""
-    ancestors, node = _descend(t, m.path, BadPath, "a node")
-    want_ambient, want_child = (V, H) if m.kind == ROW else (H, V)
-    if not isinstance(node, want_ambient):
+    kind, path, i, split_first, split_second = m
+    ancestors, node = _descend(t, path, BadPath, "a node")
+    want_ambient, want_child = (V, H) if kind == ROW else (H, V)
+    if type(node) is not want_ambient:
         raise BadOrientation(
-            f"{m.kind} move needs a {'vertical' if m.kind == ROW else 'horizontal'} "
-            f"ambient node at path {m.path}"
+            f"{kind} move needs a {'vertical' if kind == ROW else 'horizontal'} "
+            f"ambient node at path {path}"
         )
-    if not 0 <= m.index < len(node.children) - 1:
-        raise BadPath(f"no adjacent pair at index {m.index} under path {m.path}")
-    first, second = node.children[m.index], node.children[m.index + 1]
-    if not isinstance(first, want_child) or not isinstance(second, want_child):
+    if not 0 <= i < len(node.children) - 1:
+        raise BadPath(f"no adjacent pair at index {i} under path {path}")
+    first, second = node.children[i], node.children[i + 1]
+    if type(first) is not want_child or type(second) is not want_child:
         raise BadPair(
-            f"children {m.index} and {m.index + 1} must both be "
-            f"{'horizontal' if m.kind == ROW else 'vertical'} runs"
+            f"children {i} and {i + 1} must both be "
+            f"{'horizontal' if kind == ROW else 'vertical'} runs"
         )
-    if not 1 <= m.split_first < len(first.children):
-        raise BadSplit(f"split_first={m.split_first} out of range for arity {len(first.children)}")
-    if not 1 <= m.split_second < len(second.children):
-        raise BadSplit(f"split_second={m.split_second} out of range for arity {len(second.children)}")
+    if not 1 <= split_first < len(first.children):
+        raise BadSplit(f"split_first={split_first} out of range for arity {len(first.children)}")
+    if not 1 <= split_second < len(second.children):
+        raise BadSplit(f"split_second={split_second} out of range for arity {len(second.children)}")
     return ancestors, node, first, second
 
 
@@ -129,23 +132,26 @@ def apply_move(t: Term, m: Move) -> Term:
     in normal form.
     """
     ancestors, node, first, second = _locate(t, m)
+    kind, path, i, cut, cut_second = m
     # A slice of a flattened run is flat, so each part is its one child or a
-    # run of the same direction.
-    run, cut, kids = type(first), m.split_first, first.children
-    x = kids[0] if cut == 1 else _intern(run, kids[:cut])
-    y = kids[-1] if cut == len(kids) - 1 else _intern(run, kids[cut:])
-    cut, kids = m.split_second, second.children
-    z = kids[0] if cut == 1 else _intern(run, kids[:cut])
-    w = kids[-1] if cut == len(kids) - 1 else _intern(run, kids[cut:])
+    # run of the same direction.  Intern hits are plain ``get``s.
+    run, get, kids = type(first), first._table.get, first.children
+    x = kids[0] if cut == 1 else get(kids[:cut]) or _intern(run, kids[:cut])
+    y = kids[-1] if cut == len(kids) - 1 else get(kids[cut:]) or _intern(run, kids[cut:])
+    cut, kids = cut_second, second.children
+    z = kids[0] if cut == 1 else get(kids[:cut]) or _intern(run, kids[:cut])
+    w = kids[-1] if cut == len(kids) - 1 else get(kids[cut:]) or _intern(run, kids[cut:])
     # ``x/z`` and ``y/w`` join in the ambient direction and may splice an
     # operand, so they go through ``vcat``/``hcat``.  Each has at least two
     # parts, so both are runs and their pair is a run in the other direction.
-    inner = vcat if m.kind == ROW else hcat
-    merged = _intern(run, (inner([x, z]), inner([y, w])))
-    kids, i = node.children, m.index
+    inner = vcat if kind == ROW else hcat
+    pair = (inner([x, z]), inner([y, w]))
+    merged = get(pair) or _intern(run, pair)
+    kids = node.children
     if len(kids) > 2:
-        merged = _intern(type(node), kids[:i] + (merged,) + kids[i + 2 :])
-    return _rebuild(ancestors, m.path, merged)
+        kids = kids[:i] + (merged,) + kids[i + 2 :]
+        merged = type(node)._table.get(kids) or _intern(type(node), kids)
+    return _rebuild(ancestors, path, merged)
 
 
 def invert_move(t: Term, m: Move) -> Move:

@@ -23,10 +23,12 @@ from tileproof.terms import (
     border_word,
     from_grid,
     grid_labels,
+    hcat,
     leaf_multiset,
     leaf_paths,
     parse_term,
     swap_leaves,
+    vcat,
 )
 from conftest import random_term
 from oracles import UnionFind, all_terms_with_leaves, matcher_distances, matcher_neighbors
@@ -283,6 +285,17 @@ class TestMirroredSearch:
         assert not decision._relabels(t("(a|b)/(a|c)"), t("(a|b)/(c|a)"))  # a -> a and a -> c
         assert not decision._relabels(t("(a|b)/(c|d)"), t("(a/c)|(b/d)"))  # other shape
         assert not decision._relabels(t("a|b"), t("c|c"))  # not one-to-one
+        assert not decision._relabels(t("a|b"), t("c|d|e"))  # an extra leaf
+
+        def comb(bottom, prefix):  # 3,000 levels, alternately H and V
+            term = t(bottom)
+            for k in range(3000):
+                term = (hcat, vcat)[k % 2]([term, Leaf(f"{prefix}{k}")])
+            return term
+
+        assert decision._relabels(comb("(a|b)/(c|d)", "x"), comb("(e|f)/(g|h)", "y"))
+        # only the deepest pair's shape differs
+        assert not decision._relabels(comb("(a|b)/(c|d)", "x"), comb("(e|f|g)/h", "y"))
 
     def test_side_b_enumerates_no_moves(self, monkeypatch):
         calls = []

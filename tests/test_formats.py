@@ -98,11 +98,24 @@ class TestScriptCodec:
             ("split_second", -2, "splits must be >= 1 at moves[3].split_second"),
             ("index", True, "expected an integer at moves[3].index"),
             ("path", [1.0], "expected an integer at moves[3].path[0]"),
+            # ``None`` replaces the whole move
+            (None, [1, 1], "expected an object at moves[3]"),
+            (None, {"kind": "row", "split_first": 1}, "missing key 'path' at moves[3]"),
+            ("path", {"1": 1}, "expected a list at moves[3].path"),
+            ("path", [1, "2"], "expected an integer at moves[3].path[1]"),
+            ("path", [1, 0], "indices are 1-based and must be >= 1 at moves[3].path[1]"),
+            ("index", 0, "indices are 1-based and must be >= 1 at moves[3].index"),
+            # every field is wrong; the first check in document order reports
+            (None, {"kind": "diag", "path": [1, 0], "index": 0, "split_first": 0, "split_second": True},
+             "indices are 1-based and must be >= 1 at moves[3].path[1]"),
         ],
     )
     def test_move_values_are_checked_by_the_constructor(self, key, value, message):
         doc = json.loads(encode_script(central_swap_script(BORDER, "a", "b", "c", "d")))
-        doc["moves"][3][key] = value
+        if key is None:
+            doc["moves"][3] = value
+        else:
+            doc["moves"][3][key] = value
         with pytest.raises(CodecError) as exc:
             decode_script(json.dumps(doc).encode())
         assert str(exc.value) == message
