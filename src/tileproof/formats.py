@@ -88,11 +88,13 @@ def _expect(cond: bool, message: str, location: str):
         raise CodecError(message, location)
 
 
-def _bad_index(value: Any, location: str) -> CodecError:
-    """The error for a move number that is not an integer of at least 1."""
+def _index_error(value: Any) -> str | None:
+    """What is wrong with a move number, if it is not an integer of at least 1."""
     if type(value) is not int:  # JSON gives ``bool`` for true and false
-        return CodecError("expected an integer", location)
-    return CodecError("indices are 1-based and must be >= 1", location)
+        return "expected an integer"
+    if value < 1:
+        return "indices are 1-based and must be >= 1"
+    return None
 
 
 def decode_script(data: bytes) -> ProofScript:
@@ -122,12 +124,12 @@ def decode_script(data: bytes) -> ProofScript:
         if type(path) is not list:
             raise CodecError("expected a list", f"moves[{k}].path")
         for i, p in enumerate(path):
-            if type(p) is not int or p < 1:
-                raise _bad_index(p, f"moves[{k}].path[{i}]")
-        if type(index) is not int or index < 1:
-            raise _bad_index(index, f"moves[{k}].index")
-        for key in ("split_first", "split_second"):
-            if type(raw[key]) is int and raw[key] < 1:
+            if problem := _index_error(p):
+                raise CodecError(problem, f"moves[{k}].path[{i}]")
+        if problem := _index_error(index):
+            raise CodecError(problem, f"moves[{k}].index")
+        for key, s in (("split_first", split_first), ("split_second", split_second)):
+            if type(s) is int and s < 1:
                 raise CodecError("splits must be >= 1", f"moves[{k}].{key}")
         path = tuple([p - 1 for p in path])
         try:

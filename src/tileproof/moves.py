@@ -81,14 +81,15 @@ class Move(namedtuple("Move", "kind path index split_first split_second")):
     ):
         if kind not in (ROW, COL):
             raise MoveError(f"unknown move kind {reprlib.repr(kind)}")
-        # ``type(...) is int`` refuses ``bool``; a path that is not a tuple fails as a non-int
-        for k in path if type(path) is tuple else (None,):
+        # ``type(...) is int`` refuses ``bool``, which would apply as 0 or 1
+        if type(path) is not tuple:
+            raise MoveError(f"move path must be a tuple of ints, not {reprlib.repr(path)}")
+        for k in path:
             if type(k) is not int:
                 raise MoveError(f"move path must be a tuple of ints, not {reprlib.repr(path)}")
-        if type(index) is not int or type(split_first) is not int or type(split_second) is not int:
-            for name, value in zip(cls._fields[2:], (index, split_first, split_second)):
-                if type(value) is not int:
-                    raise MoveError(f"move {name} must be an int, not {reprlib.repr(value)}")
+        for name, value in zip(cls._fields[2:], (index, split_first, split_second)):
+            if type(value) is not int:
+                raise MoveError(f"move {name} must be an int, not {reprlib.repr(value)}")
         return tuple.__new__(cls, (kind, path, index, split_first, split_second))
 
     # ``_replace`` builds through ``_make``, which would skip the check
@@ -132,26 +133,23 @@ def apply_move(t: Term, m: Move) -> Term:
     in normal form.
     """
     ancestors, node, first, second = _locate(t, m)
-    kind, path, i, cut, cut_second = m
     # A slice of a flattened run is flat, so each part is its one child or a
-    # run of the same direction.  Intern hits are plain ``get``s.
-    run, get, kids = type(first), first._table.get, first.children
-    x = kids[0] if cut == 1 else get(kids[:cut]) or _intern(run, kids[:cut])
-    y = kids[-1] if cut == len(kids) - 1 else get(kids[cut:]) or _intern(run, kids[cut:])
-    cut, kids = cut_second, second.children
-    z = kids[0] if cut == 1 else get(kids[:cut]) or _intern(run, kids[:cut])
-    w = kids[-1] if cut == len(kids) - 1 else get(kids[cut:]) or _intern(run, kids[cut:])
+    # run of the same direction.
+    run, cut, kids = type(first), m.split_first, first.children
+    x = kids[0] if cut == 1 else _intern(run, kids[:cut])
+    y = kids[-1] if cut == len(kids) - 1 else _intern(run, kids[cut:])
+    cut, kids = m.split_second, second.children
+    z = kids[0] if cut == 1 else _intern(run, kids[:cut])
+    w = kids[-1] if cut == len(kids) - 1 else _intern(run, kids[cut:])
     # ``x/z`` and ``y/w`` join in the ambient direction and may splice an
     # operand, so they go through ``vcat``/``hcat``.  Each has at least two
     # parts, so both are runs and their pair is a run in the other direction.
-    inner = vcat if kind == ROW else hcat
-    pair = (inner([x, z]), inner([y, w]))
-    merged = get(pair) or _intern(run, pair)
-    kids = node.children
+    inner = vcat if m.kind == ROW else hcat
+    merged = _intern(run, (inner([x, z]), inner([y, w])))
+    kids, i = node.children, m.index
     if len(kids) > 2:
-        kids = kids[:i] + (merged,) + kids[i + 2 :]
-        merged = type(node)._table.get(kids) or _intern(type(node), kids)
-    return _rebuild(ancestors, path, merged)
+        merged = _intern(type(node), kids[:i] + (merged,) + kids[i + 2 :])
+    return _rebuild(ancestors, m.path, merged)
 
 
 def invert_move(t: Term, m: Move) -> Move:

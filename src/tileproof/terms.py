@@ -74,8 +74,6 @@ def _check_label(name: str) -> str:
 # Lookups take no lock; a miss re-checks and inserts under ``_intern_lock``,
 # so no two threads make two copies of a term.  Once the tables have doubled
 # since the last sweep, the next miss first drops what only a table holds.
-# So a caller may take a hit with a plain ``cls._table.get(key)``, but a miss
-# must go through ``_intern``, which counts it, sweeps and takes the lock.
 _intern_lock = threading.Lock()
 _room = 4096  # misses until the next sweep, which sets it to the terms it keeps
 
@@ -489,8 +487,7 @@ def _rebuild(ancestors: Sequence[Term], path: Sequence[int], new: Term) -> Term:
     for node, i in zip(reversed(ancestors), reversed(path)):
         run, kids = type(node), node.children
         middle = new.children if type(new) is run else (new,)
-        kids = kids[:i] + middle + kids[i + 1 :]
-        new = run._table.get(kids) or _intern(run, kids)
+        new = _intern(run, kids[:i] + middle + kids[i + 1 :])
     return new
 
 
