@@ -1,7 +1,9 @@
 """File codecs and tiling renderers.
 
 Proof scripts and models travel as JSON documents with a fixed key order, so
-encoding is byte-deterministic and ``decode(encode(x)) == x``.  On the wire,
+encoding is byte-deterministic and ``decode(encode(x)) == x``.  Scripts are
+emitted directly, in the layout that ``json.dumps(doc, indent=2)`` gives: with
+an indent, that call takes CPython's pure-Python encoder.  On the wire,
 move paths and pair indices are 1-based (the documents are meant for human
 eyes); in-memory values are 0-based.
 
@@ -15,6 +17,7 @@ visibility leaves their cells blank.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -55,21 +58,33 @@ class CodecError(ValueError):
 
 
 def encode_script(script: ProofScript) -> bytes:
-    doc = {
-        "start": format_term(script.start),
-        "moves": [
-            {
-                "kind": m.kind,
-                "path": [p + 1 for p in m.path],
-                "index": m.index + 1,
-                "split_first": m.split_first,
-                "split_second": m.split_second,
-            }
-            for m in script.moves
-        ],
-        "checkpoints": {k: script.checkpoints[k] for k in sorted(script.checkpoints)},
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """The script's document, byte for byte as ``json.dumps(doc, indent=2)``
+    writes it.  ``Move`` and ``ProofScript`` make every number an ``int`` and
+    every kind ``row`` or ``col``, so only the start term and the checkpoint
+    names go through ``json.dumps``."""
+    moves = [
+        f'{{\n      "kind": "{kind}",\n'
+        f'      "path": {_json_block([str(p + 1) for p in path], "[]", 3)},\n'
+        f'      "index": {index + 1},\n      "split_first": {split_first},\n'
+        f'      "split_second": {split_second}\n    }}'
+        for kind, path, index, split_first, split_second in script.moves
+    ]
+    checkpoints = [f"{json.dumps(name)}: {script.checkpoints[name]}"
+                   for name in sorted(script.checkpoints)]
+    return (
+        f'{{\n  "start": {json.dumps(format_term(script.start))},\n'
+        f'  "moves": {_json_block(moves, "[]", 1)},\n'
+        f'  "checkpoints": {_json_block(checkpoints, "{}", 1)}\n}}\n'
+    ).encode("utf-8")
+
+
+def _json_block(items: list[str], brackets: str, depth: int) -> str:
+    """A list or object ``depth`` levels into an ``indent=2`` document, from
+    its items as text; an empty one prints as ``[]`` or ``{}``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
 
 
 def _load_json(data: bytes) -> Any:
@@ -222,14 +237,20 @@ class RenderOptions:
     label_visibility: str = "all"  # or "named-only"
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            # ``type(...) is int`` refuses ``bool``, which would print as ``True``
+            if type(value) is not int:
+                raise RenderError(f"{name} must be an int, not {reprlib.repr(value)}")
         if self.width < 1 or self.height < 1:
             raise RenderError("width and height must be at least 1")
         if self.label_visibility not in ("all", "named-only"):
-            raise RenderError(f"unknown label visibility {self.label_visibility!r}")
+            raise RenderError(f"unknown label visibility {reprlib.repr(self.label_visibility)}")
 
 
-def _round_half_up(fr: Fraction) -> int:
-    return int(fr + Fraction(1, 2))
+def _round_half_up(num: int, den: int) -> int:
+    """``num / den`` rounded half-up, for ``num >= 0`` and ``den > 0``."""
+    return (2 * num + den) // (2 * den)
 
 
 def _visible(label: str, opts: RenderOptions) -> bool:
@@ -250,10 +271,10 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
         raise CanvasTooSmall("canvas must be at least 3x3 characters")
 
     def col(x: Fraction) -> int:
-        return _round_half_up(x * (W - 1))
+        return _round_half_up(x.numerator * (W - 1), x.denominator)
 
     def row(y: Fraction) -> int:
-        return _round_half_up((1 - y) * (Hh - 1))
+        return _round_half_up((y.denominator - y.numerator) * (Hh - 1), y.denominator)
 
     grid = [[" "] * W for _ in range(Hh)]
 
@@ -290,7 +311,7 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
 
 def _svg_num(fr: Fraction) -> str:
     """Exact decimal with two places, half-up, trailing zeros trimmed."""
-    scaled = _round_half_up(fr * 100)
+    scaled = _round_half_up(fr.numerator * 100, fr.denominator)
     whole, part = divmod(scaled, 100)
     if part == 0:
         return str(whole)

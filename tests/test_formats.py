@@ -18,7 +18,7 @@ from tileproof.formats import (
 )
 from tileproof.models import CayleyPair, enumerate_models, k_combinator, xor_pair
 from tileproof.moves import Move, ProofScript, central_swap_script
-from tileproof.terms import Leaf, parse_term
+from tileproof.terms import Leaf, format_term, parse_term
 from conftest import BAD_MODEL_DOCS, random_term
 
 
@@ -36,7 +36,53 @@ def _relabel(term, names):
     return type(term)(_relabel(c, names) for c in term.children)
 
 
+def _stdlib_encoding(script):
+    """The bytes of ``script``'s document as ``json.dumps(doc, indent=2)``
+    writes them: the reference for ``encode_script``'s direct emitter."""
+    doc = {
+        "start": format_term(script.start),
+        "moves": [
+            {
+                "kind": m.kind,
+                "path": [p + 1 for p in m.path],
+                "index": m.index + 1,
+                "split_first": m.split_first,
+                "split_second": m.split_second,
+            }
+            for m in script.moves
+        ],
+        "checkpoints": {k: script.checkpoints[k] for k in sorted(script.checkpoints)},
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+_CANNED = central_swap_script(BORDER, "a", "b", "c", "d")
+_DEEP = (Move("row", (), 0, 1, 1), Move("col", (2,), 1, 2, 3), Move("row", (0, 4, 1), 0, 1, 1))
+
+
 class TestScriptCodec:
+    @pytest.mark.parametrize(
+        "script",
+        [
+            _CANNED,
+            ProofScript(_CANNED.start, _CANNED.moves * 51, _CANNED.checkpoints),
+            ProofScript(start=t("(a|b)/(c|d)")),
+            ProofScript(start=Leaf("a"), moves=_DEEP),
+            ProofScript(
+                start=t("m|((a|b)/(c|d))|n"),
+                moves=_DEEP + (Move("col", (0, 1, 2), 10**20, 10**20, 10**20),),
+                checkpoints={
+                    'say "hi"': 0, "back\\slash": 1, "tab\tnew\nline\x00\x1f": 2,
+                    "caf\u00e9 \u2218 \U0001f600": 3, "\ud800": 4, "": 4,
+                },
+            ),
+        ],
+        ids=["canned 40 moves", "canned chained 51 times", "empty", "paths 0, 1 and 3 deep",
+             "hostile names and big splits"],
+    )
+    def test_encoding_matches_the_stdlib_encoder(self, script):
+        assert encode_script(script) == _stdlib_encoding(script)
+
     def test_empty_script_round_trip(self):
         script = ProofScript(start=t("(a|b)/(c|d)"))
         assert decode_script(encode_script(script)) == script
@@ -288,10 +334,22 @@ class TestAsciiRenderer:
         )
 
     def test_bad_options(self):
-        with pytest.raises(RenderError):
-            RenderOptions(0, 10)
-        with pytest.raises(RenderError):
-            RenderOptions(10, 10, "some")
+        # a float size cannot size ``render_ascii``'s grid, and a float or
+        # bool would print in the SVG as ``width="8.0"`` or ``width="True"``
+        for args, message in [
+            ((0, 10), "width and height must be at least 1"),
+            ((10, 10, "some"), "unknown label visibility 'some'"),
+            ((10, 10, ["all"] * 10),
+             "unknown label visibility ['all', 'all', 'all', 'all', 'all', 'all', ...]"),
+            ((8.0, 5), "width must be an int, not 8.0"),
+            ((5, 8.0), "height must be an int, not 8.0"),
+            ((True, 5), "width must be an int, not True"),
+            ((5, False), "height must be an int, not False"),
+            (("8", 5), "width must be an int, not '8'"),
+        ]:
+            with pytest.raises(RenderError) as exc:
+                RenderOptions(*args)
+            assert str(exc.value) == message
 
 
 class TestSvgRenderer:
