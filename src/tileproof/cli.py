@@ -282,3 +282,7 @@ def run(argv: list[str]) -> tuple[int, bytes, bytes]:
 
 def main(argv=None) -> int:
     return _dispatch(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

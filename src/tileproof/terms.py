@@ -239,72 +239,93 @@ def vcat(parts: Iterable[Term]) -> Term:
 #   grid  := '[' row (';' row)* ']'
 #   row   := IDENT+                      -- whitespace separated
 #
-# Parentheses nest at most ``_MAX_NESTING`` deep, and so do runs (a term's
-# depth counts the runs on its longest root-to-leaf path).  The parser is the
-# one recursive walker: a parenthesis costs it three Python frames, so the cap
-# keeps it near 300 frames, far inside the default recursion limit of 1,000.
-# Every other term operation walks an explicit stack and takes any depth.
+# Two caps of 100.  Parentheses: the parser refuses the first one past that
+# depth before it reads on, so hostile nesting ends as an input error at a
+# known offset.  Runs (a term's depth counts the runs on its longest
+# root-to-leaf path): ``format_term`` prints one parenthesis per run level
+# below the root, so a parsed term's canonical text is parseable again.
+# The parser keeps its own stack, as every other term operation does.
 # ---------------------------------------------------------------------------
 
 _MAX_NESTING = 100
 
+# whitespace (``str.isspace``), then an identifier, one other character, or "" at the end
+_TOKEN = re.compile(rf"\s*(?:({_IDENT.pattern})|(.?))", re.S)
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0  # open parentheses
 
-    def byte_offset(self, pos: int | None = None) -> int:
-        p = self.pos if pos is None else pos
-        return len(self.text[:p].encode("utf-8"))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.byte_offset())
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if m is None:
-            raise ParseError("expected an identifier", self.byte_offset())
-        self.pos = m.end()
-        return m.group()
+def _error(text: str, pos: int, message: str) -> ParseError:
+    return ParseError(message, len(text[:pos].encode("utf-8")))
 
 
 def parse_term(text: str) -> Term:
     """Parse concrete syntax into a flattened term.
 
-    Raises ``ParseError`` (with a byte offset) on bad input, including empty
-    input, and parentheses or runs nested more than 100 deep.
+    Raises ``TermError`` if ``text`` is not a ``str``, and ``ParseError``
+    (with a byte offset) on bad input, including empty input, and
+    parentheses or runs nested more than 100 deep.
     """
-    sc = _Scanner(text)
-    if sc.peek() == "":
-        raise ParseError("empty input", sc.byte_offset())
-    t, _ = _checked(sc, sc.pos, _parse_vterm(sc))
-    if sc.peek() != "":
-        raise ParseError("unexpected trailing input", sc.byte_offset())
-    return t
-
-
-# The parse functions return ``(term, depth)``.  ``format_term`` prints one
-# parenthesis per run level below the root, so capping the depth keeps the
-# canonical text of every parsed term parseable.
-
-
-def _checked(sc: _Scanner, pos: int, parsed: tuple[Term, int]) -> tuple[Term, int]:
-    if parsed[1] > _MAX_NESTING:
-        raise ParseError(f"nested more than {_MAX_NESTING} deep", sc.byte_offset(pos))
-    return parsed
+    if not isinstance(text, str):
+        raise TermError(f"invalid term text {reprlib.repr(text)}: expected a str")
+    pos = start = len(text) - len(text.lstrip())  # where the open group begins
+    if pos == len(text):
+        raise _error(text, pos, "empty input")
+    # The open group's finished rows and the atoms of its current row, as
+    # ``(term, depth)`` pairs; ``stack`` keeps the same for each enclosing group.
+    stack, rows, atoms = [], [], []
+    grid = None  # the rows of labels while inside '[...]'
+    atom_next = True  # else an operator, or the end of the group
+    while True:
+        m = _TOKEN.match(text, pos)
+        ident, ch = m.groups()
+        at, pos = m.start(m.lastindex), m.end()
+        if grid is not None:
+            if ident:
+                grid[-1].append(ident)
+            elif not grid[-1] or ch.isalpha():
+                raise _error(text, at, "expected an identifier")
+            elif ch == ";":
+                grid.append([])
+            elif ch != "]":
+                raise _error(text, at, "expected ']'")
+            else:
+                try:
+                    atoms.append((from_grid(grid), (len(grid) > 1) + (len(grid[0]) > 1)))
+                except TermError as exc:
+                    raise _error(text, at, str(exc)) from exc
+                grid = None
+        elif atom_next:
+            if ident:
+                atoms.append((_intern(Leaf, ident), 0))  # the token is an identifier
+                atom_next = False
+            elif ch == "(":
+                if len(stack) == _MAX_NESTING:
+                    raise _error(text, at, f"nested more than {_MAX_NESTING} deep")
+                stack.append((start, rows, atoms))
+                start, rows, atoms = at, [], []
+            elif ch == "[":
+                grid, atom_next = [[]], False
+            elif ch.isalpha():  # a letter that starts no identifier
+                raise _error(text, at, "expected an identifier")
+            else:
+                raise _error(text, at, "expected an identifier, '(' or '['")
+        elif ch == "|":
+            atom_next = True
+        else:  # the row ends here, and with anything but '/' the group too
+            rows.append(_join(hcat, H, atoms))
+            if ch == "/":
+                atoms, atom_next = [], True
+                continue
+            t, depth = _join(vcat, V, rows)
+            if stack and ch != ")":
+                raise _error(text, at, "expected ')'")
+            if depth > _MAX_NESTING:
+                raise _error(text, start, f"nested more than {_MAX_NESTING} deep")
+            if not stack:
+                if ident or ch:
+                    raise _error(text, at, "unexpected trailing input")
+                return t
+            start, rows, atoms = stack.pop()
+            atoms.append((t, depth))
 
 
 def _join(cat, run: type[_Run], parts: list[tuple[Term, int]]) -> tuple[Term, int]:
@@ -312,61 +333,6 @@ def _join(cat, run: type[_Run], parts: list[tuple[Term, int]]) -> tuple[Term, in
         return parts[0]
     # a part in the run's own direction is flattened: its children join the run
     return cat(t for t, _ in parts), max(d if type(t) is run else d + 1 for t, d in parts)
-
-
-def _parse_vterm(sc: _Scanner) -> tuple[Term, int]:
-    parts = [_parse_hterm(sc)]
-    while sc.peek() == "/":
-        sc.take("/")
-        parts.append(_parse_hterm(sc))
-    return _join(vcat, V, parts)
-
-
-def _parse_hterm(sc: _Scanner) -> tuple[Term, int]:
-    parts = [_parse_atom(sc)]
-    while sc.peek() == "|":
-        sc.take("|")
-        parts.append(_parse_atom(sc))
-    return _join(hcat, H, parts)
-
-
-def _parse_atom(sc: _Scanner) -> tuple[Term, int]:
-    ch = sc.peek()
-    if ch == "(":
-        start = sc.pos
-        if sc.depth == _MAX_NESTING:
-            raise ParseError(f"nested more than {_MAX_NESTING} deep", sc.byte_offset())
-        sc.depth += 1
-        sc.take("(")
-        parsed = _parse_vterm(sc)
-        sc.take(")")
-        sc.depth -= 1
-        return _checked(sc, start, parsed)
-    if ch == "[":
-        sc.take("[")
-        rows = [_parse_grid_row(sc)]
-        while sc.peek() == ";":
-            sc.take(";")
-            rows.append(_parse_grid_row(sc))
-        start = sc.byte_offset()
-        sc.take("]")
-        try:
-            return from_grid(rows), (len(rows) > 1) + (len(rows[0]) > 1)
-        except TermError as exc:
-            raise ParseError(str(exc), start) from exc
-    if not ch or not (ch.isalpha() or ch == "_"):
-        raise ParseError("expected an identifier, '(' or '['", sc.byte_offset())
-    return Leaf(sc.ident()), 0
-
-
-def _parse_grid_row(sc: _Scanner) -> list[str]:
-    row = [sc.ident()]
-    while True:
-        ch = sc.peek()
-        if ch and (ch.isalpha() or ch == "_"):
-            row.append(sc.ident())
-        else:
-            return row
 
 
 def format_term(t: Term) -> str:

@@ -30,6 +30,14 @@ class TestParseCommand:
         assert code == EXIT_USAGE
         assert b"error" in err and out == b""
 
+    @pytest.mark.parametrize("module", ["tileproof", "tileproof.cli"])
+    def test_python_dash_m(self, module):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", module, "parse", "(a|b)|c"], capture_output=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, b"a|b|c\n", b"")
+        done = subprocess.run([sys.executable, "-m", module, "parse", "a||b"], capture_output=True, env=env)
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+
 
 def _alternating(levels):
     """``(b/(b|(...a...)))``: every parenthesis opens a new term level."""

@@ -65,6 +65,7 @@ class TestParse:
 
     def test_whitespace_is_free(self):
         assert t("  ( a | b ) / ( c | d )  ") == t("(a|b)/(c|d)")
+        assert t("\u3000a|b\x1c") == t("a|b")  # whitespace is what ``str.isspace`` accepts
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -91,6 +92,43 @@ class TestParse:
         with pytest.raises(ParseError, match="expected an identifier") as exc:
             t("[1]")
         assert exc.value.offset == 1
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("é", "expected an identifier", 0),
+        ("[a é]", "expected an identifier", 3),
+        ("[a;]", "expected an identifier", 3),
+        ("[a b", "expected ']'", 4),
+        ("(a b)", "expected ')'", 3),
+        ("a)", "unexpected trailing input", 1),
+        ("[a b; c d e]", "ragged grid: all rows must have the same length", 11),  # at its ']'
+        ("a|é", "expected an identifier", 2),
+        ("a /", "expected an identifier, '(' or '['", 3),
+        ("\u3000\x1c", "empty input", 4),
+        # 102 runs deep at the root, whose depth error comes before the trailing ' x'
+        ("a/b|" + "(a/b|" * 49 + "[a b; c d]" + ")" * 49 + " x", "nested more than 100 deep", 0),
+    ])
+    def test_exact_messages_and_offsets(self, text, message, offset):
+        with pytest.raises(ParseError) as exc:
+            t(text)
+        assert (str(exc.value), exc.value.offset) == (f"{message} (at byte {offset})", offset)
+
+    @pytest.mark.parametrize("text", [b"a|b", None, 5])
+    def test_text_must_be_a_str(self, text):
+        with pytest.raises(TermError, match="^invalid term text .*: expected a str$"):
+            t(text)
+
+    def test_deepest_accepted_term_needs_no_recursion(self):
+        text = "(a/b|" * 49 + "[a b; c d]" + ")" * 49  # 100 runs deep
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            term = t(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert t(format_term(term)) is term
 
 
 class TestFormat:
