@@ -57,7 +57,7 @@ class Unknown:
 Verdict = Union[Equal, Distinct, Unknown]
 
 # The most states a search may visit.  A search keeps at most about 0.33 KB
-# per visited state, so this cap holds it under 1 GB.
+# per visited state, wide terms included, so this cap holds it under 1 GB.
 MAX_BUDGET = 2_000_000
 
 

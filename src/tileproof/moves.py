@@ -12,7 +12,7 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .terms import H, Leaf, Term, TermError, V, _descend, _intern, _rebuild
 from .terms import from_grid, grid_labels, hcat, vcat
@@ -178,10 +178,9 @@ def invert_move(t: Term, m: Move) -> Move:
     return Move(inv_kind, inv_path, inv_index, inv_split_first, inv_split_second)
 
 
-def enumerate_moves(t: Term) -> list[Move]:
-    """Every move applicable to ``t``, without duplicates, ordered by
-    (path, index, split_first, split_second)."""
-    out: list[Move] = []
+def enumerate_moves(t: Term) -> Iterator[Move]:
+    """Yield every move applicable to ``t``, without duplicates, ordered by
+    (path, index, split_first, split_second), building each when pulled."""
     stack = [((), t)] if type(t) is not Leaf else []  # runs still to visit, next on top
     while stack:
         path, node = stack.pop()
@@ -197,12 +196,11 @@ def enumerate_moves(t: Term) -> list[Move]:
                 seconds = range(1, len(c.children))
                 for s1 in range(1, len(prev.children)):
                     for s2 in seconds:
-                        out.append(tuple.__new__(Move, (kind, path, i - 1, s1, s2)))
+                        yield tuple.__new__(Move, (kind, path, i - 1, s1, s2))
             prev = c
             runs.append((path + (i,), c))
         runs.reverse()
         stack += runs
-    return out
 
 
 # ---------------------------------------------------------------------------

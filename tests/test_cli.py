@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tileproof import cli
+from tileproof import cli, models
 
 from tileproof.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, run
 from tileproof.formats import decode_script, encode_model
@@ -432,6 +432,19 @@ class TestClaimsCommand:
     def test_order_out_of_range(self):
         code, out, err = run(["claims", "verify", "--max-order", "9"])
         assert code == EXIT_USAGE
+
+    def test_a_failed_claim_is_exit_1_with_its_counterexample(self, monkeypatch):
+        monkeypatch.setattr(models, "_sandwich_identity", lambda tab, inv, n: False)
+        code, out, err = run(["claims", "verify", "--max-order", "2"])
+        assert code == EXIT_NEGATIVE
+        doc = json.loads(out)
+        assert doc["all_passed"] is False
+        assert doc["claims"].pop("P") == {
+            "passed": False,
+            "checked": 5,
+            "counterexample": {"n": 1, "h": [[0]], "v": [[0]]},
+        }
+        assert all(status["passed"] for status in doc["claims"].values())
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -83,7 +84,7 @@ class TestVerdicts:
             t1 = random_term(rng, max_leaves=8, min_leaves=2)
             t2 = t1
             for _ in range(rng.randint(1, 4)):
-                moves = enumerate_moves(t2)
+                moves = list(enumerate_moves(t2))
                 if not moves:
                     break
                 t2 = apply_move(t2, rng.choice(moves))
@@ -130,6 +131,28 @@ class TestClosure:
         for budget, message in ((0, "at least 1"), (MAX_BUDGET + 1, "at most 2,000,000")):
             with pytest.raises(ValueError, match=f"budget must be {message}"):
                 move_closure(t("a"), budget=budget)
+
+    def test_closure_is_its_shapes_times_its_relabeling_group(self):
+        # moves see only shapes, so a closure with distinct labels is its
+        # shapes, each carrying the same group of label permutations
+        blank = dict.fromkeys("abcdefghijkl", "x")
+
+        def shapes(closure):
+            by_shape = {}
+            for u in closure:
+                by_shape.setdefault(relabel(u, blank), []).append(u)
+            return by_shape
+
+        closure_3x3 = move_closure(t(GRID_3X3))
+        assert len(closure_3x3) == len(shapes(closure_3x3)) == 118
+        closure_3x4 = move_closure(t("[a b c d; e f g h; i j k l]"))
+        by_shape = shapes(closure_3x4)
+        assert (len(closure_3x4), len(by_shape)) == (8258, 4129)
+        # two terms per shape, told apart by transposing the interior tiles
+        # (1,1) and (1,2) of the grid
+        transposition = {x: x for x in "abcdefghijkl"} | {"f": "g", "g": "f"}
+        for u, v in by_shape.values():
+            assert relabel(u, transposition) == v
 
     def test_closure_stays_inside_the_leaf_multiset_universe(self):
         universe = all_terms_with_leaves(("a", "b", "c", "d"))
@@ -238,6 +261,25 @@ class TestBudgetCap:
             find_swap_proof(t("(a|b)/(c|d)"), (0, 0), (0, 1), budget)
         with pytest.raises(ValueError, match="budget must be an int"):
             move_closure(t("a"), budget=budget)
+
+    @pytest.mark.parametrize("k", [300, 1000])
+    def test_a_budget_bounds_memory_on_wide_terms(self, k):
+        # two rows of k leaves have (k-1)^2 moves; a search that stops at its
+        # budget must not build them all, so one bound serves every k
+        t1 = vcat([hcat([Leaf(f"a{i}") for i in range(k)]), hcat([Leaf(f"b{i}") for i in range(k)])])
+        t2 = swap_leaves(t1, (0, 0), (1, 0))
+        tracemalloc.start()
+        try:
+            assert equal_exhaustive(t1, t2, 10) == Unknown(explored=10, budget=10)
+            search_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match="closure exceeded budget of 10 states"):
+                move_closure(t1, budget=10)
+            closure_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search_peak < 2_000_000
+        assert closure_peak < 2_000_000
 
 
 class TestShortestScripts:

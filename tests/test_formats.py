@@ -109,7 +109,7 @@ class TestScriptCodec:
             start = random_term(rng, max_leaves=9, min_leaves=2)
             cur, moves = start, []
             for _ in range(rng.randint(0, 5)):
-                options = enumerate_moves(cur)
+                options = list(enumerate_moves(cur))
                 if not options:
                     break
                 m = rng.choice(options)

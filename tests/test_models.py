@@ -321,6 +321,10 @@ class TestEnumeration:
         monkeypatch.setenv("TILEPROOF_MAX_ORDER", "banana")
         with pytest.raises(MaxOrderError):
             list(enumerate_models(2))
+        for raw in ("0", "5"):
+            monkeypatch.setenv("TILEPROOF_MAX_ORDER", raw)
+            with pytest.raises(MaxOrderError, match=f"must be in 1..4, got {raw}"):
+                list(enumerate_models(1))
 
 
 class TestClaims:

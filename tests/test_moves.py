@@ -42,22 +42,22 @@ def t(text):
 
 class TestEnumerate:
     def test_leaf_has_no_moves(self):
-        assert enumerate_moves(Leaf("a")) == []
+        assert list(enumerate_moves(Leaf("a"))) == []
 
     def test_2x2_has_exactly_one_move(self):
         # hand enumeration: one V node, one adjacent H pair, splits 1,1
-        moves = enumerate_moves(t("(a|b)/(c|d)"))
+        moves = list(enumerate_moves(t("(a|b)/(c|d)")))
         assert moves == [Move(ROW, (), 0, 1, 1)]
 
     def test_3_by_2_has_exactly_two_moves(self):
         # hand enumeration: split_first ranges over {1, 2}
-        moves = enumerate_moves(t("(a|b|c)/(d|e)"))
+        moves = list(enumerate_moves(t("(a|b|c)/(d|e)")))
         assert moves == [Move(ROW, (), 0, 1, 1), Move(ROW, (), 0, 2, 1)]
 
     def test_order_is_path_index_splits(self, rng):
         for _ in range(100):
             term = random_term(rng, max_leaves=10)
-            moves = enumerate_moves(term)
+            moves = list(enumerate_moves(term))
             keys = [(m.path, m.index, m.split_first, m.split_second) for m in moves]
             assert keys == sorted(keys)
             assert len(set(moves)) == len(moves)
@@ -148,7 +148,7 @@ class TestInvert:
         inv = invert_move(term, m)
         assert inv.kind == COL
         merged = apply_move(term, m)
-        assert [inv] == enumerate_moves(merged)
+        assert [inv] == list(enumerate_moves(merged))
         assert apply_move(merged, inv) == term
 
     def test_kinds_mirror(self, rng):

@@ -373,7 +373,7 @@ class TestInterning:
         # every x hugs the right or bottom edge of its level; the core sits top left
         assert border_word(term) == ("x1999", *xs[-2::-2], "b", "a", "c", *xs[1:-1:2])
         assert border_word(term) == geometric_border_word(term)
-        assert enumerate_moves(term) == [Move(ROW, (0,) * levels, 0, 1, 1)]
+        assert list(enumerate_moves(term)) == [Move(ROW, (0,) * levels, 0, 1, 1)]
         swapped = swap_leaves(term, a_path, (1,))
         assert dict(leaf_paths(swapped)) == {**dict(paths), a_path: "x1999", (1,): "a"}
         assert swap_leaves(swapped, a_path, (1,)) is term
@@ -439,6 +439,11 @@ class TestLayout:
         assert layout(Leaf("a")) == {
             (): Rect(Fraction(0), Fraction(0), Fraction(1), Fraction(1))
         }
+
+    @pytest.mark.parametrize("corners", [(0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1), (-1, 0, 1, 1)])
+    def test_rect_refuses_degenerate_or_outside(self, corners):
+        with pytest.raises(TermError, match="rectangle must be nondegenerate and inside"):
+            Rect(*map(Fraction, corners))
 
     def test_h_pair_splits_width(self):
         lay = layout(t("a|b"))
