@@ -2,84 +2,10 @@
 moves, replayable proof certificates, word-equality decision, and finite
 double-semigroup model checks."""
 
-from .terms import (
-    H,
-    Leaf,
-    ParseError,
-    Rect,
-    Term,
-    TermError,
-    V,
-    border_word,
-    format_term,
-    from_grid,
-    grid_labels,
-    hcat,
-    layout,
-    leaf_multiset,
-    leaf_paths,
-    parse_term,
-    subterm_at,
-    swap_leaves,
-    vcat,
-)
-from .moves import (
-    COL,
-    ROW,
-    BadOrientation,
-    BadPair,
-    BadPath,
-    BadSplit,
-    Move,
-    MoveError,
-    ProofScript,
-    ReplayError,
-    apply_move,
-    central_swap_script,
-    enumerate_moves,
-    invert_move,
-    replay,
-)
-from .decision import (
-    Distinct,
-    Equal,
-    Unknown,
-    Verdict,
-    equal_exhaustive,
-    find_swap_proof,
-    move_closure,
-)
-from .models import (
-    AxiomError,
-    AxiomReport,
-    CayleyPair,
-    ClaimsReport,
-    InverseStructure,
-    MaxOrderError,
-    check_axioms,
-    enumerate_models,
-    has_bicancellable_element,
-    inverse_structure,
-    is_cancellative,
-    is_commutative,
-    k_combinator,
-    unit_report,
-    verify_claims,
-    xor_pair,
-)
-from .formats import (
-    CanvasTooLarge,
-    CanvasTooSmall,
-    CodecError,
-    RenderError,
-    RenderOptions,
-    claims_report_json,
-    decode_model,
-    decode_script,
-    encode_model,
-    encode_script,
-    render_ascii,
-    render_svg,
-)
+from .terms import *
+from .moves import *
+from .decision import *
+from .models import *
+from .formats import *
 
 __version__ = "0.1.0"

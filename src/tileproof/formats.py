@@ -20,12 +20,13 @@ import json
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Any
 
 from .models import CayleyPair, ClaimsReport
 from .moves import Move, ProofScript
-from .terms import Term, _tiles, format_term, parse_term, ParseError
+from .terms import Term, _tiles, format_term, leaf_paths, parse_term, ParseError
 
 __all__ = [
     "CodecError",
@@ -284,10 +285,11 @@ def render_ascii(t: Term, opts: RenderOptions = RenderOptions()) -> str:
 
     # a leaf's label sits inside its walls, where no other leaf's wall runs;
     # ``put`` makes each corner a ``+``, as its ``-`` and ``|`` meet there
-    for path, label, (x0, y0, x1, y1) in _tiles(t):
+    for k, (label, (x0, y0, x1, y1)) in enumerate(_tiles(t)):
         c0, c1 = col(x0), col(x1)
         r0, r1 = row(y1), row(y0)
         if c1 - c0 < 2 or r1 - r0 < 2:
+            path, _ = next(islice(leaf_paths(t), k, None))
             raise CanvasTooSmall(
                 f"cell for leaf at {path} is {r1 - r0 + 1}x{c1 - c0 + 1}; needs 3x3"
             )
@@ -328,7 +330,7 @@ def render_svg(t: Term, opts: RenderOptions = RenderOptions(width=640, height=64
         f'width="{opts.width}" height="{opts.height}" '
         f'viewBox="0 0 {opts.width} {opts.height}">',
     ]
-    for _, label, (x0, y0, x1, y1) in _tiles(t):
+    for label, (x0, y0, x1, y1) in _tiles(t):
         x = x0 * W
         y = (1 - y1) * Hh
         w = (x1 - x0) * W

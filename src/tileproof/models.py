@@ -32,7 +32,7 @@ import os
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "CayleyPair",
@@ -369,14 +369,12 @@ def _check_order(name: str, n: int, max_order: Optional[int]) -> int:
     return cap
 
 
-def _assoc_tables(
-    n: int, prune: Callable[[list[list[int]]], bool] = lambda tab: True
-) -> Iterator[Table]:
-    """All associative tables on 0..n-1 that also pass ``prune``,
-    lexicographic in row-major order.
+def _assoc_tables(n: int, h: Optional[Table] = None) -> Iterator[Table]:
+    """All associative tables on 0..n-1, lexicographic in row-major order;
+    given ``h``, only those that satisfy interchange with it.
 
     Cells are filled in that order and every partial table is checked, so a
-    failed associativity or ``prune`` test cuts the whole subtree.
+    failed associativity or interchange test cuts the whole subtree.
     """
     cells = [(x, y) for x in range(n) for y in range(n)]
     tab = [[-1] * n for _ in range(n)]
@@ -388,7 +386,9 @@ def _assoc_tables(
         x, y = cells[k]
         for val in range(n):
             tab[x][y] = val
-            if _first_assoc_failure(tab, n) is None and prune(tab):
+            if _first_assoc_failure(tab, n) is None and (
+                h is None or _first_interchange_failure(h, tab, n) is None
+            ):
                 yield from fill(k + 1)
         tab[x][y] = -1
 
@@ -415,7 +415,7 @@ def enumerate_models(
     _check_order("order", n, max_order)
     wanted = frozenset(constraints)
     for h in _assoc_tables(n):
-        for v in _assoc_tables(n, lambda tab: _first_interchange_failure(h, tab, n) is None):
+        for v in _assoc_tables(n, h):
             # trusted construction: the filler wrote every entry in range and
             # established the axioms, so neither __post_init__ nor check_axioms runs
             m = object.__new__(CayleyPair)

@@ -498,21 +498,20 @@ def layout(t: Term) -> dict[tuple[int, ...], Rect]:
     counts, left to right; a V node divides height the same way, top to
     bottom.  This makes the tiling deterministic and degeneracy-free.
     """
-    return {path: Rect(*box) for path, _, box in _tiles(t)}
+    return {path: Rect(*box) for (path, _), (_, box) in zip(leaf_paths(t), _tiles(t))}
 
 
-def _tiles(t: Term) -> Iterator[tuple[tuple[int, ...], str, tuple[Fraction, ...]]]:
-    """Yield ``(path, label, (x0, y0, x1, y1))`` for every leaf, in left-to-right
-    tree order: the tiling that ``layout`` describes, read in one walk."""
+def _tiles(t: Term) -> Iterator[tuple[str, tuple[Fraction, ...]]]:
+    """Yield ``(label, (x0, y0, x1, y1))`` for every leaf, in the order of
+    ``leaf_paths``: the tiling that ``layout`` describes, read in one walk."""
     counts: dict[Term, int] = {}  # leaf count per node; reversed preorder counts children first
     for node in reversed(list(_nodes(t))):
         counts[node] = 1 if type(node) is Leaf else sum(counts[c] for c in node.children)
-    path, stack = [], [(0, (), t, (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))]
+    stack = [(t, (Fraction(0), Fraction(0), Fraction(1), Fraction(1)))]
     while stack:
-        depth, index, node, (x0, y0, x1, y1) = stack.pop()
-        path[depth:] = index  # as in ``leaf_paths``
+        node, (x0, y0, x1, y1) = stack.pop()
         if type(node) is Leaf:
-            yield tuple(path), node.label, (x0, y0, x1, y1)
+            yield node.label, (x0, y0, x1, y1)
             continue
         # cut from ``start`` towards ``end``: rightwards in an H, down in a V
         across = type(node) is H
@@ -520,7 +519,7 @@ def _tiles(t: Term) -> Iterator[tuple[tuple[int, ...], str, tuple[Fraction, ...]
         span, kids, parts = end - start, node.children, []
         for i, c in enumerate(kids):
             cut = end if i == len(kids) - 1 else start + span * Fraction(counts[c], counts[node])
-            parts.append((len(path), (i,), c, (start, y0, cut, y1) if across else (x0, cut, x1, start)))
+            parts.append((c, (start, y0, cut, y1) if across else (x0, cut, x1, start)))
             start = cut
         stack += reversed(parts)
 

@@ -2,8 +2,8 @@
 
 Everything here works on a plain tuple encoding of terms —
 ``("leaf", name)``, ``("h", kids)``, ``("v", kids)`` — with its own
-normalizer and its own one-step rewrite matcher, deliberately sharing no
-code with the package internals.
+normalizer, its own one-step rewrite matcher and its own move replayer,
+deliberately sharing no code with the package internals.
 """
 
 from __future__ import annotations
@@ -48,6 +48,45 @@ def renormalize(node):
 
 def _block(parts, tag):
     return parts[0] if len(parts) == 1 else (tag, tuple(parts))
+
+
+def replay_moves(start, moves):
+    """Replay moves ``(kind, path, index, split_first, split_second)`` on the
+    tuple encoding and return the last node.
+
+    Each move is checked where it stands: a ``row`` move needs a vertical
+    ambient node and a ``col`` move a horizontal one, children ``index`` and
+    ``index + 1`` must be runs of the other direction, and each split must
+    leave both parts of its child non-empty.  A failed check raises
+    ``ValueError``.
+    """
+    node = start
+    for kind, path, index, s1, s2 in moves:
+        tag, inner = {"row": ("v", "h"), "col": ("h", "v")}[kind]
+        spine = [node]  # the nodes along ``path``, root first
+        for i in path:
+            if spine[-1][0] == "leaf" or not 0 <= i < len(spine[-1][1]):
+                raise ValueError(f"path {path} does not address a node")
+            spine.append(spine[-1][1][i])
+        ambient = spine.pop()
+        if ambient[0] != tag:
+            raise ValueError(f"{kind} move at {path}: the ambient node is not {tag!r}")
+        kids = ambient[1]
+        if not 0 <= index < len(kids) - 1:
+            raise ValueError(f"{kind} move at {path}: no children {index} and {index + 1}")
+        a, b = kids[index], kids[index + 1]
+        if a[0] != inner or b[0] != inner:
+            raise ValueError(f"{kind} move at {path}: child {index} or {index + 1} is no {inner!r}")
+        if not (1 <= s1 < len(a[1]) and 1 <= s2 < len(b[1])):
+            raise ValueError(f"{kind} move at {path}: splits {s1}, {s2} out of range")
+        x, y = _block(a[1][:s1], inner), _block(a[1][s1:], inner)
+        z, w = _block(b[1][:s2], inner), _block(b[1][s2:], inner)
+        merged = (inner, ((tag, (x, z)), (tag, (y, w))))
+        new = (tag, kids[:index] + (merged,) + kids[index + 2 :])
+        for parent, i in zip(reversed(spine), reversed(path)):
+            new = (parent[0], parent[1][:i] + (new,) + parent[1][i + 1 :])
+        node = renormalize(new)
+    return node
 
 
 def matcher_neighbors(t: Term) -> set[Term]:

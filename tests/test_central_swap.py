@@ -3,8 +3,9 @@ move table, so every normative property is asserted here."""
 
 import pytest
 
-from tileproof.moves import CENTRAL_SWAP_CHECKPOINT, central_swap_script, replay
+from tileproof.moves import CENTRAL_SWAP_CHECKPOINT, ProofScript, central_swap_script, replay
 from tileproof.terms import from_grid, grid_labels, leaf_multiset
+from oracles import replay_moves, to_tuple
 
 BORDER = tuple(f"e{k}" for k in range(1, 13))
 
@@ -23,13 +24,39 @@ def test_start_is_the_grid_with_middle_ab_cd(script):
     assert script.start == from_grid(grid_labels(BORDER, ("a", "b", "c", "d")))
 
 
-def test_replay_succeeds_and_ends_at_the_transposed_grid(trajectory):
+def test_replay_succeeds_and_ends_at_the_transposed_grid(script, trajectory):
     assert trajectory[-1] == from_grid(grid_labels(BORDER, ("b", "a", "c", "d")))
+    assert replay_moves(to_tuple(script.start), script.moves) == to_tuple(trajectory[-1])
 
 
 def test_checkpoint_eight_is_the_cyclic_permutation(script, trajectory):
     prefix = script.checkpoints[CENTRAL_SWAP_CHECKPOINT]
     assert trajectory[prefix] == from_grid(grid_labels(BORDER, ("b", "d", "a", "c")))
+
+
+def test_the_forty_moves_generate_every_permutation_of_the_middle(script):
+    # Moves act on positions, so the first 20 moves map any grid's middle
+    # (p, q; r, s) to (q, s; p, r), a 4-cycle of the central cells, and all 40
+    # swap the cells (1,1) and (1,2), which sit next to each other on that
+    # cycle.  The two generate S4; a breadth-first search finds a word in
+    # them for each middle, and replay confirms it.
+    half = script.moves[: script.checkpoints[CENTRAL_SWAP_CHECKPOINT]]
+    steps = [
+        (half, lambda m: (m[1], m[3], m[0], m[2])),
+        (script.moves, lambda m: (m[1], m[0], m[2], m[3])),
+    ]
+    words = {("a", "b", "c", "d"): ()}
+    queue = list(words)
+    for middle in queue:  # the list grows in breadth-first order as it is read
+        for moves, act in steps:
+            image = act(middle)
+            if image not in words:
+                words[image] = words[middle] + moves
+                queue.append(image)
+    assert len(words) == 24
+    for middle, moves in words.items():
+        final = replay(ProofScript(start=script.start, moves=moves))[-1]
+        assert final == from_grid(grid_labels(BORDER, middle))
 
 
 def test_leaf_multiset_constant_along_trajectory(trajectory):

@@ -482,6 +482,18 @@ class TestUsage:
                               env={**os.environ, "PYTHONPATH": str(SRC)})
         assert done.stdout == b"False\n"
 
+    def test_the_package_exports_every_public_name_of_its_modules(self):
+        import tileproof
+
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in (tileproof.terms, tileproof.moves, tileproof.decision,
+                           tileproof.models, tileproof.formats)
+            for name in module.__all__
+            if getattr(tileproof, name, None) is not getattr(module, name)
+        ]
+        assert missing == []
+
     def test_parser_is_built_once(self):
         cli._build_parser.cache_clear()
         for argv in (["parse", "a|b"], ["--help"], ["frobnicate"], ["render", "a|b"]):

@@ -32,7 +32,14 @@ from tileproof.terms import (
     vcat,
 )
 from conftest import random_term
-from oracles import UnionFind, all_terms_with_leaves, matcher_distances, matcher_neighbors
+from oracles import (
+    UnionFind,
+    all_terms_with_leaves,
+    matcher_distances,
+    matcher_neighbors,
+    replay_moves,
+    to_tuple,
+)
 
 
 def t(text):
@@ -300,6 +307,7 @@ class TestShortestScripts:
             assert isinstance(verdict, Equal)
             assert len(verdict.script.moves) == d
             assert replay(verdict.script)[-1] is target
+            assert replay_moves(to_tuple(start), verdict.script.moves) == to_tuple(target)
 
 
 class TestMirroredSearch:
@@ -419,6 +427,7 @@ class TestPinnedSearch:
             kinds[decision._relabels(t1, t2), type(verdict).__name__] += 1
             if isinstance(verdict, Equal):
                 assert replay(verdict.script)[-1] is t2
+                assert replay_moves(to_tuple(t1), verdict.script.moves) == to_tuple(t2)
                 digest.update(encode_script(verdict.script))
             else:
                 digest.update(repr(verdict).encode())

@@ -17,9 +17,10 @@ from tileproof.formats import (
     render_svg,
 )
 from tileproof.models import CayleyPair, enumerate_models, k_combinator, xor_pair
-from tileproof.moves import Move, ProofScript, central_swap_script
+from tileproof.moves import Move, ProofScript, central_swap_script, replay
 from tileproof.terms import Leaf, format_term, parse_term
 from conftest import BAD_MODEL_DOCS, random_term
+from oracles import replay_moves, to_tuple
 
 
 def t(text):
@@ -117,6 +118,7 @@ class TestScriptCodec:
                 cur = apply_move(cur, m)
             script = ProofScript(start=start, moves=tuple(moves), checkpoints={"mid": len(moves) // 2})
             assert decode_script(encode_script(script)) == script
+            assert replay_moves(to_tuple(start), moves) == to_tuple(replay(script)[-1])
 
     @pytest.mark.parametrize(
         "mutate,needle",

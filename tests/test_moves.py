@@ -33,7 +33,7 @@ from tileproof.terms import (
     vcat,
 )
 from conftest import random_term
-from oracles import matcher_neighbors, renormalize, to_tuple
+from oracles import matcher_neighbors, renormalize, replay_moves, to_tuple
 
 
 def t(text):
@@ -127,6 +127,8 @@ class TestApply:
             with pytest.raises(MoveError) as caught:
                 f(t(text), Move(*fields))
             assert (type(caught.value), str(caught.value)) == (kind, message)
+        with pytest.raises(ValueError):
+            replay_moves(to_tuple(t(text)), [fields])
 
     def test_deep_path_and_collapse(self):
         # ambient V has exactly two children: the merged child splices upward
